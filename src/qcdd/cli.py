@@ -84,8 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="write amplitude lines to this file")
     run_p.add_argument("--check-norms", action="store_true",
                        help="assert norm 1 after every unitary gate")
-    run_p.add_argument("--single-accumulator", action="store_true",
-                       help="hybrid-amp low-memory mode: one shared accumulator, serialized adds")
 
     ver_p = sub.add_parser("verify", help="cross-check all engines and the oracle")
     add_circuit_args(ver_p)
@@ -159,15 +157,14 @@ def _run_engine(args, circuit: Circuit, mode: str):
                 record)
     partition = _partition(args, circuit.n)
     if mode == "hybrid-dd":
-        res = run_hybrid_dd(circuit, partition, workers=workers, tol=args.tol, check_norm=check,
-                            final_pkg=Package(args.tol, extract_cap=args.amp_cap))
+        res = run_hybrid_dd(circuit, partition, workers=workers, tol=args.tol,
+                            amp_cap=args.amp_cap, check_norm=check)
         pkg, edge = res.package, res.state
         return (lambda bits: pkg.get_amplitude(edge, bits),
                 lambda: pkg.extract_statevector(edge),
                 res.stats)
     res = run_hybrid_amp(circuit, partition, workers=workers, tol=args.tol,
-                         amp_cap=args.amp_cap, check_norm=check,
-                         single_accumulator=getattr(args, "single_accumulator", False))
+                         amp_cap=args.amp_cap, check_norm=check)
     vec = res.vector
 
     def amp_of(bits: str) -> complex:

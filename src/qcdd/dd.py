@@ -274,31 +274,26 @@ class Package:
 
         return val(w) * block(t)
 
+    def reachable(self, roots: Iterable[Edge], matrix: bool = False) -> set[int]:
+        """Ids of the nodes reachable from ``roots`` (terminal excluded);
+        ``matrix`` selects the matrix node space."""
+        nodes = self._mnodes if matrix else self._vnodes
+        seen = {0}
+        stack = [t for _, t in roots]
+        while stack:
+            t = stack.pop()
+            if t not in seen:
+                seen.add(t)
+                stack.extend(nodes[t][2::2])
+        seen.discard(0)
+        return seen
+
     def count_nodes(self, e: Edge) -> int:
         """Distinct nodes reachable from ``e`` (terminal excluded)."""
-        seen: set[int] = set()
-        stack = [e[1]]
-        while stack:
-            t = stack.pop()
-            if t == 0 or t in seen:
-                continue
-            seen.add(t)
-            entry = self._vnodes[t]
-            stack.append(entry[2])
-            stack.append(entry[4])
-        return len(seen)
+        return len(self.reachable([e]))
 
     def count_matrix_nodes(self, e: Edge) -> int:
-        seen: set[int] = set()
-        stack = [e[1]]
-        while stack:
-            t = stack.pop()
-            if t == 0 or t in seen:
-                continue
-            seen.add(t)
-            entry = self._mnodes[t]
-            stack.extend(entry[2 + 2 * i] for i in range(4))
-        return len(seen)
+        return len(self.reachable([e], matrix=True))
 
     def norm(self, e: Edge) -> float:
         """L2 norm of the represented vector, one O(nodes) pass."""
@@ -538,27 +533,8 @@ class Package:
         """
         vector_roots = list(vector_roots)
         matrix_roots = list(matrix_roots)
-        live_v: set[int] = set()
-        live_m: set[int] = set()
-        stack = [t for _, t in vector_roots if t]
-        while stack:
-            t = stack.pop()
-            if t in live_v:
-                continue
-            live_v.add(t)
-            entry = self._vnodes[t]
-            if entry[2]:
-                stack.append(entry[2])
-            if entry[4]:
-                stack.append(entry[4])
-        stack = [t for _, t in matrix_roots if t]
-        while stack:
-            t = stack.pop()
-            if t in live_m:
-                continue
-            live_m.add(t)
-            entry = self._mnodes[t]
-            stack.extend(c for c in (entry[2], entry[4], entry[6], entry[8]) if c)
+        live_v = self.reachable(vector_roots)
+        live_m = self.reachable(matrix_roots, matrix=True)
         reclaimed = 0
         for node in range(1, len(self._vnodes)):
             entry = self._vnodes[node]
@@ -609,19 +585,9 @@ class Package:
         kind = "matrix" if matrix else "vector"
         root_w = val(e[0])
         lines = [f"# {kind}-dd root_node={e[1]} root_weight={root_w.real!r},{root_w.imag!r}"]
-        seen: set[int] = set()
-        order: list[int] = []
-        stack = [e[1]]
-        while stack:
-            t = stack.pop()
-            if t == 0 or t in seen:
-                continue
-            seen.add(t)
-            order.append(t)
-            entry = (self._mnodes if matrix else self._vnodes)[t]
-            stack.extend(entry[2::2])
-        for t in sorted(order):
-            entry = (self._mnodes if matrix else self._vnodes)[t]
+        nodes = self._mnodes if matrix else self._vnodes
+        for t in sorted(self.reachable([e], matrix)):
+            entry = nodes[t]
             parts = [str(t), str(entry[0])]
             succs = entry[1:]
             for i in range(0, len(succs), 2):
@@ -629,37 +595,3 @@ class Package:
                 parts.append(f"{succs[i + 1]} {w.real!r},{w.imag!r}")
             lines.append(" ".join(parts))
         return "\n".join(lines) + "\n"
-
-    def export_portable(self, e: Edge) -> tuple:
-        """Serialize a vector diagram to plain tuples (for cross-process moves)."""
-        ids: dict[int, int] = {}
-        nodes: list[tuple] = []
-        val = self.weights.val
-
-        def rec(t: int) -> int:
-            if t == 0:
-                return 0
-            got = ids.get(t)
-            if got is not None:
-                return got
-            level, w0, t0, w1, t1 = self._vnodes[t]
-            entry = (level, val(w0), rec(t0), val(w1), rec(t1))
-            nodes.append(entry)
-            ids[t] = len(nodes)
-            return len(nodes)
-
-        root = rec(e[1])
-        return (val(e[0]), root, tuple(nodes))
-
-    def import_portable(self, data: tuple) -> Edge:
-        """Rebuild a diagram serialized by :meth:`export_portable`."""
-        root_val, root, nodes = data
-        lookup = self.weights.lookup
-        edges: list[Edge] = [ONE_EDGE]
-        for level, w0, t0, w1, t1 in nodes:
-            e0 = ZERO_EDGE if w0 == 0 else self._scale(edges[t0] if t0 else ONE_EDGE, lookup(w0))
-            e1 = ZERO_EDGE if w1 == 0 else self._scale(edges[t1] if t1 else ONE_EDGE, lookup(w1))
-            edges.append(self.make_vector_node(level, e0, e1))
-        if root == 0:
-            return ZERO_EDGE if root_val == 0 else (lookup(root_val), 0)
-        return self._scale(edges[root], lookup(root_val))

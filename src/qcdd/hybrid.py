@@ -8,10 +8,13 @@ is split over the operator basis of its upper-block operand,
 
 and becomes a decision point; choosing one term per decision yields one
 path, and the full state is the sum over all paths.  Each path simulates
-the two blocks independently (private diagram packages, no shared state),
-combines them with a Kronecker product, and contributes to the final state
-either by diagram addition (``run_hybrid_dd``) or by extracting amplitude
-arrays and summing those (``run_hybrid_amp``).
+the two blocks independently (private diagram packages, no shared state)
+and combines them with a Kronecker product.
+
+Both modes run one driver, ``_run_paths``; they differ only in the "summer"
+that recombines the paths.  ``run_hybrid_amp`` extracts each path to an
+amplitude array and adds it into a dense accumulator (``_AmpSum``);
+``run_hybrid_dd`` adds the path diagrams inside one package (``_DDSum``).
 
 Workers are OS processes pulling path indices from a shared counter; the
 only shared state is that counter, the immutable circuit, and the final
@@ -258,25 +261,99 @@ class HybridResult:
     stats: dict = field(default_factory=dict)
 
 
-class _Times:
-    __slots__ = ("simulate", "kron", "extract", "add")
+_STAGES = ("simulate", "kron", "extract", "add")
 
-    def __init__(self):
-        self.simulate = self.kron = self.extract = self.add = 0.0
 
-    def as_dict(self):
-        return {
-            "simulate": self.simulate,
-            "kron": self.kron,
-            "extract": self.extract,
-            "add": self.add,
-        }
+class _AmpSum:
+    """Amplitude mode: each path's array is extracted and added into one
+    dense accumulator; a partial sum is that array."""
 
-    def merge(self, other: dict):
-        self.simulate += other["simulate"]
-        self.kron += other["kron"]
-        self.extract += other["extract"]
-        self.add += other["add"]
+    mode = "hybrid-amp"
+
+    def __init__(self, n: int, tol: float, amp_cap: int):
+        self.n = n
+        self.tol = tol
+        self.amp_cap = amp_cap
+        self.acc = np.zeros(1 << n, dtype=complex)
+        self.last = None
+
+    def add_path(self, pkg: Package, edge: Edge, times: dict):
+        t0 = time.perf_counter()
+        arr = pkg.extract_statevector(edge, self.n)
+        t1 = time.perf_counter()
+        self.acc += arr
+        # holding the previous array through the next extraction lets the
+        # allocator reuse its pages; freeing it at once maps fresh ones
+        self.last = arr
+        times["extract"] += t1 - t0
+        times["add"] += time.perf_counter() - t1
+
+    def total(self, times: dict) -> np.ndarray:
+        self.last = None
+        return self.acc
+
+    def ship(self, acc: np.ndarray) -> np.ndarray:
+        return acc
+
+    def adopt(self, acc: np.ndarray) -> np.ndarray:
+        return acc
+
+    def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b
+
+
+class _DDSum:
+    """DD mode: each path's diagram is imported into the run's package and
+    added by a binary counter, so the addition tree has logarithmic depth in
+    the number of paths; a partial sum is an edge of that package."""
+
+    mode = "hybrid-dd"
+
+    def __init__(self, tol: float, amp_cap: int):
+        self.tol = tol
+        self.amp_cap = amp_cap
+        self.pkg = Package(tol, extract_cap=amp_cap)
+        self.slots: list[Edge | None] = []
+
+    def add_path(self, pkg: Package, edge: Edge, times: dict):
+        t0 = time.perf_counter()
+        contrib = self.pkg.import_edge(pkg, edge)
+        t1 = time.perf_counter()
+        slots = self.slots
+        pos = 0
+        while pos < len(slots) and slots[pos] is not None:
+            contrib = self.pkg.add(slots[pos], contrib)
+            slots[pos] = None
+            pos += 1
+        if pos == len(slots):
+            slots.append(contrib)
+        else:
+            slots[pos] = contrib
+        times["kron"] += t1 - t0
+        times["add"] += time.perf_counter() - t1
+        self.pkg.maybe_gc([s for s in slots if s is not None])
+
+    def total(self, times: dict) -> Edge | None:
+        t0 = time.perf_counter()
+        result = None
+        for s in self.slots:
+            if s is not None:
+                result = s if result is None else self.pkg.add(s, result)
+        times["add"] += time.perf_counter() - t0
+        return result
+
+    def ship(self, edge: Edge | None):
+        """A worker's partial: its package, swept down to ``edge``, plus the edge."""
+        if edge is None:
+            return None
+        self.pkg.gc([edge])
+        return self.pkg, edge
+
+    def adopt(self, shipped) -> Edge:
+        return self.pkg.import_edge(*shipped)
+
+    def combine(self, a: Edge, b: Edge) -> Edge:
+        return self.pkg.add(a, b)
 
 
 def _paths_from_counter(counter, total: int):
@@ -289,114 +366,38 @@ def _paths_from_counter(counter, total: int):
         yield i
 
 
-def _run_paths_amp(circuit, partition, cls, indices, tol, amp_cap, check_norm, shared=None):
-    """Simulate the given paths and accumulate the extracted arrays.
-
-    By default each call owns a private dense accumulator (one per worker);
-    with ``shared`` (a multiprocessing double array covering the re/im
-    parts) every path is added into the one shared accumulator under its
-    lock instead, trading parallel adds for a single-vector memory footprint.
-    Returns (accumulator | None, times, max_path_nodes).
-    """
-    n = circuit.n
-    acc = None if shared is not None else np.zeros(1 << n, dtype=complex)
-    times = _Times()
+def _sum_paths(circuit, partition, cls, indices, check_norm, summer, times) -> int:
+    """Simulate the given paths and fold each into ``summer``; stage times
+    accumulate into ``times``.  Returns the largest per-path node count."""
     max_nodes = 0
     for i in indices:
         digits = path_digits(cls.decisions, i)
-        up = Package(tol, extract_cap=amp_cap)
-        lo = Package(tol, extract_cap=amp_cap)
+        up = Package(summer.tol, extract_cap=summer.amp_cap)
+        lo = Package(summer.tol, extract_cap=summer.amp_cap)
         t0 = time.perf_counter()
         ue, le = simulate_path(circuit, partition, digits, up, lo, cls, check_norm)
         t1 = time.perf_counter()
         ke = lo.import_edge(up, ue, shift=partition.cut, splice=le)
-        t2 = time.perf_counter()
-        arr = lo.extract_statevector(ke, n)
-        t3 = time.perf_counter()
-        if shared is None:
-            acc += arr
-        else:
-            with shared.get_lock():
-                view = np.frombuffer(shared.get_obj(), dtype=np.float64)
-                view += arr.view(np.float64)
-        t4 = time.perf_counter()
-        times.simulate += t1 - t0
-        times.kron += t2 - t1
-        times.extract += t3 - t2
-        times.add += t4 - t3
+        times["simulate"] += t1 - t0
+        times["kron"] += time.perf_counter() - t1
+        summer.add_path(lo, ke, times)
         max_nodes = max(max_nodes, up.peak_nodes + lo.peak_nodes)
-    return acc, times, max_nodes
+    return max_nodes
 
 
-def _run_paths_dd(circuit, partition, cls, indices, tol, check_norm, reduce_pkg):
-    """Simulate the given paths and tree-add them inside ``reduce_pkg``.
-
-    Returns (edge_or_None, times, max_path_nodes).  The binary-counter
-    reduction adds diagrams pairwise, so the addition tree has logarithmic
-    depth in the number of paths handled here.
-    """
-    times = _Times()
-    max_nodes = 0
-    slots: list[Edge | None] = []
-    for i in indices:
-        digits = path_digits(cls.decisions, i)
-        up = Package(tol)
-        lo = Package(tol)
-        t0 = time.perf_counter()
-        ue, le = simulate_path(circuit, partition, digits, up, lo, cls, check_norm)
-        t1 = time.perf_counter()
-        ke = lo.import_edge(up, ue, shift=partition.cut, splice=le)
-        contrib = reduce_pkg.import_edge(lo, ke)
-        t2 = time.perf_counter()
-        pos = 0
-        while pos < len(slots) and slots[pos] is not None:
-            contrib = reduce_pkg.add(slots[pos], contrib)
-            slots[pos] = None
-            pos += 1
-        if pos == len(slots):
-            slots.append(contrib)
-        else:
-            slots[pos] = contrib
-        t3 = time.perf_counter()
-        times.simulate += t1 - t0
-        times.kron += t2 - t1
-        times.add += t3 - t2
-        max_nodes = max(max_nodes, up.peak_nodes + lo.peak_nodes)
-        reduce_pkg.maybe_gc([s for s in slots if s is not None])
-    result: Edge | None = None
-    t0 = time.perf_counter()
-    for s in slots:
-        if s is not None:
-            result = s if result is None else reduce_pkg.add(s, result)
-    times.add += time.perf_counter() - t0
-    return result, times, max_nodes
-
-
-def _worker_amp(circuit, partition, cls, counter, total, out_q, wid, tol, amp_cap,
-                check_norm, shared=None):
+def _worker(circuit, partition, cls, counter, total, check_norm, summer, out_q, wid):
     try:
-        acc, times, max_nodes = _run_paths_amp(
-            circuit, partition, cls, _paths_from_counter(counter, total), tol, amp_cap,
-            check_norm, shared,
+        times = dict.fromkeys(_STAGES, 0.0)
+        max_nodes = _sum_paths(
+            circuit, partition, cls, _paths_from_counter(counter, total), check_norm, summer,
+            times,
         )
-        out_q.put(("ok", wid, acc, times.as_dict(), max_nodes))
+        out_q.put(("ok", wid, summer.ship(summer.total(times)), times, max_nodes))
     except BaseException:
         out_q.put(("err", wid, traceback.format_exc(), None, 0))
 
 
-def _worker_dd(circuit, partition, cls, counter, total, out_q, wid, tol, check_norm):
-    try:
-        pkg = Package(tol)
-        edge, times, max_nodes = _run_paths_dd(
-            circuit, partition, cls, _paths_from_counter(counter, total), tol, check_norm, pkg
-        )
-        portable = None if edge is None else pkg.export_portable(edge)
-        out_q.put(("ok", wid, portable, times.as_dict(), max_nodes))
-    except BaseException:
-        out_q.put(("err", wid, traceback.format_exc(), None, 0))
-
-
-def _spawn_and_collect(target, args_per_worker):
+def _spawn_and_collect(target, args_per_worker, out_q):
     """Start one process per arg tuple, drain one message per worker, join.
 
     A worker that raises reports through the queue; one that dies without
@@ -409,7 +410,6 @@ def _spawn_and_collect(target, args_per_worker):
     procs = [ctx.Process(target=target, args=args, daemon=True) for args in args_per_worker]
     for p in procs:
         p.start()
-    out_q = args_per_worker[0][5]
     replies = []
     while len(replies) < len(procs):
         try:
@@ -441,6 +441,62 @@ def _spawn_and_collect(target, args_per_worker):
     return replies
 
 
+def _run_paths(circuit, partition, workers, check_norm, summer):
+    """The path sum of both modes; ``summer`` decides how paths recombine.
+
+    With one worker the paths are summed in this process.  Otherwise forked
+    workers pull path indices from a shared counter, each summing its own
+    paths, and their partial sums are adopted here and combined pairwise.
+    Returns (sum, stats record).
+    """
+    cls = classify(circuit, partition)
+    total = cls.path_count
+    workers = max(1, min(workers or 1, total))
+    t_start = time.perf_counter()
+    times = dict.fromkeys(_STAGES, 0.0)
+    if workers == 1:
+        max_nodes = _sum_paths(circuit, partition, cls, range(total), check_norm, summer, times)
+        partials = [summer.total(times)]
+        t0 = time.perf_counter()
+    else:
+        ctx = mp.get_context("fork")
+        counter = ctx.Value("l", 0)
+        out_q = ctx.Queue()
+        args = [
+            (circuit, partition, cls, counter, total, check_norm, summer, out_q, w)
+            for w in range(workers)
+        ]
+        replies = _spawn_and_collect(_worker, args, out_q)
+        max_nodes = max(reply[4] for reply in replies)
+        for reply in replies:
+            for stage in _STAGES:
+                times[stage] += reply[3][stage]
+        t0 = time.perf_counter()
+        partials = [summer.adopt(reply[2]) for reply in replies if reply[2] is not None]
+    while len(partials) > 1:
+        pairs = zip(partials[::2], partials[1::2])
+        partials = [summer.combine(a, b) for a, b in pairs] + partials[len(partials) & ~1:]
+    times["add"] += time.perf_counter() - t0
+    stats = {
+        "mode": summer.mode,
+        "n": circuit.n,
+        "cut": partition.cut,
+        "decisions": len(cls.decisions),
+        "path_count": total,
+        "workers": workers,
+        "times": {**times, "total": time.perf_counter() - t_start},
+        "max_path_nodes": max_nodes,
+    }
+    return partials[0], stats
+
+
+def _result(stats: dict, **outcome) -> HybridResult:
+    return HybridResult(
+        stats["mode"], stats["n"], stats["cut"], stats["decisions"], stats["path_count"],
+        stats["workers"], stats=stats, **outcome,
+    )
+
+
 def run_hybrid_amp(
     circuit: Circuit,
     partition: Partition | None = None,
@@ -448,16 +504,11 @@ def run_hybrid_amp(
     tol: float = 1e-13,
     amp_cap: int = 30,
     check_norm: bool = False,
-    single_accumulator: bool = False,
 ) -> HybridResult:
     """Path-sum run recombining through per-worker dense accumulators.
 
-    Per path the blocks are simulated, combined with a Kronecker product,
-    extracted to an array, and added into the worker's private accumulator;
-    the worker accumulators are reduced pairwise at the end.  Cross-path
-    diagrams are never added as diagrams.  Memory budget: workers * 2**n
-    complex amplitudes, or a single 2**n accumulator with serialized adds
-    when ``single_accumulator`` is set.
+    Cross-path diagrams are never added as diagrams.  Memory budget:
+    workers * 2**n complex amplitudes.
     """
     n = circuit.n
     if n > amp_cap:
@@ -465,55 +516,8 @@ def run_hybrid_amp(
             f"amplitude accumulators need workers * 2**{n} * 16 bytes; cap is 2**{amp_cap}"
         )
     partition = partition or default_partition(n)
-    cls = classify(circuit, partition)
-    total = cls.path_count
-    workers = max(1, min(workers or 1, total))
-    t_start = time.perf_counter()
-    times = _Times()
-    if workers == 1:
-        acc, t, max_nodes = _run_paths_amp(
-            circuit, partition, cls, range(total), tol, amp_cap, check_norm
-        )
-        accs = [acc]
-        times.merge(t.as_dict())
-    else:
-        ctx = mp.get_context("fork")
-        counter = ctx.Value("l", 0)
-        out_q = ctx.Queue()
-        shared = ctx.Array("d", 2 << n) if single_accumulator else None
-        args = [
-            (circuit, partition, cls, counter, total, out_q, w, tol, amp_cap, check_norm, shared)
-            for w in range(workers)
-        ]
-        replies = _spawn_and_collect(_worker_amp, args)
-        accs = []
-        max_nodes = 0
-        for _, _, acc, tdict, mn in replies:
-            if acc is not None:
-                accs.append(acc)
-            times.merge(tdict)
-            max_nodes = max(max_nodes, mn)
-        if shared is not None:
-            accs = [np.frombuffer(shared.get_obj(), dtype=np.float64).copy().view(complex)]
-    t0 = time.perf_counter()
-    while len(accs) > 1:
-        accs = [accs[i] + accs[i + 1] if i + 1 < len(accs) else accs[i] for i in range(0, len(accs), 2)]
-    times.add += time.perf_counter() - t0
-    stats = {
-        "mode": "hybrid-amp",
-        "n": n,
-        "cut": partition.cut,
-        "decisions": len(cls.decisions),
-        "path_count": total,
-        "workers": workers,
-        "single_accumulator": bool(single_accumulator and workers > 1),
-        "times": {**times.as_dict(), "total": time.perf_counter() - t_start},
-        "max_path_nodes": max_nodes,
-    }
-    return HybridResult(
-        "hybrid-amp", n, partition.cut, len(cls.decisions), total, workers,
-        vector=accs[0], stats=stats,
-    )
+    vector, stats = _run_paths(circuit, partition, workers, check_norm, _AmpSum(n, tol, amp_cap))
+    return _result(stats, vector=vector)
 
 
 def run_hybrid_dd(
@@ -521,66 +525,16 @@ def run_hybrid_dd(
     partition: Partition | None = None,
     workers: int = 1,
     tol: float = 1e-13,
+    amp_cap: int = 30,
     check_norm: bool = False,
-    final_pkg: Package | None = None,
 ) -> HybridResult:
     """Path-sum run recombining by decision diagram addition.
 
-    Workers tree-reduce their own paths locally; the across-worker additions
-    happen in one designated package at the end, which is where the final
-    state edge lives.
+    The final state lives in a package private to the run, which refuses
+    dense extraction above ``amp_cap`` qubits.
     """
-    n = circuit.n
-    partition = partition or default_partition(n)
-    cls = classify(circuit, partition)
-    total = cls.path_count
-    workers = max(1, min(workers or 1, total))
-    final_pkg = final_pkg or Package(tol)
-    t_start = time.perf_counter()
-    times = _Times()
-    if workers == 1:
-        edge, t, max_nodes = _run_paths_dd(
-            circuit, partition, cls, range(total), tol, check_norm, final_pkg
-        )
-        times.merge(t.as_dict())
-    else:
-        ctx = mp.get_context("fork")
-        counter = ctx.Value("l", 0)
-        out_q = ctx.Queue()
-        args = [
-            (circuit, partition, cls, counter, total, out_q, w, tol, check_norm)
-            for w in range(workers)
-        ]
-        replies = _spawn_and_collect(_worker_dd, args)
-        max_nodes = 0
-        partials: list[Edge] = []
-        t0 = time.perf_counter()
-        for _, _, portable, tdict, mn in replies:
-            times.merge(tdict)
-            max_nodes = max(max_nodes, mn)
-            if portable is not None:
-                partials.append(final_pkg.import_portable(portable))
-        while len(partials) > 1:
-            partials = [
-                final_pkg.add(partials[i], partials[i + 1]) if i + 1 < len(partials) else partials[i]
-                for i in range(0, len(partials), 2)
-            ]
-        edge = partials[0] if partials else None
-        times.add += time.perf_counter() - t0
-    if edge is None:
-        raise RuntimeError("no path produced a contribution")
-    stats = {
-        "mode": "hybrid-dd",
-        "n": n,
-        "cut": partition.cut,
-        "decisions": len(cls.decisions),
-        "path_count": total,
-        "workers": workers,
-        "times": {**times.as_dict(), "total": time.perf_counter() - t_start},
-        "max_path_nodes": max_nodes,
-        "final_nodes": final_pkg.count_nodes(edge),
-    }
-    return HybridResult(
-        "hybrid-dd", n, partition.cut, len(cls.decisions), total, workers,
-        state=edge, package=final_pkg, stats=stats,
-    )
+    partition = partition or default_partition(circuit.n)
+    summer = _DDSum(tol, amp_cap)
+    edge, stats = _run_paths(circuit, partition, workers, check_norm, summer)
+    stats["final_nodes"] = summer.pkg.count_nodes(edge)
+    return _result(stats, state=edge, package=summer.pkg)

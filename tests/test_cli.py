@@ -128,8 +128,13 @@ def test_run_bad_amplitude_string(tmp_path, fig4_qasm, capsys):
     capsys.readouterr()
 
 
-def test_run_capacity_exit_code(capsys):
-    rc = main(["run", "--random", "8", "2", "0", "0.3", "--mode", "hybrid-amp", "--amp-cap", "6"])
+@pytest.mark.parametrize(
+    "extra",
+    [["--mode", "hybrid-amp"], ["--mode", "hybrid-dd", "--amplitudes", "all"]],
+    ids=["hybrid-amp", "hybrid-dd"],
+)
+def test_run_capacity_exit_code(capsys, extra):
+    rc = main(["run", "--random", "8", "2", "0", "0.3", "--amp-cap", "6", *extra])
     assert rc == 3
     capsys.readouterr()
 

@@ -451,17 +451,7 @@ def test_gc_then_rebuild_reuses_ids():
 
 
 # ---------------------------------------------------------------------------
-# import / export
-
-
-def test_portable_roundtrip():
-    rng = np.random.default_rng(15)
-    src = Package()
-    vec = rand_vec(rng, 6, sparsity=0.5)
-    e = src.from_statevector(vec)
-    dst = Package()
-    e2 = dst.import_portable(src.export_portable(e))
-    assert np.abs(dst.extract_statevector(e2, 6) - vec).max() < 1e-10
+# import between packages
 
 
 def test_import_edge_between_packages():
@@ -484,6 +474,19 @@ def test_import_edge_shift_and_splice_is_kron():
     eb = dst.from_statevector(b)
     k = dst.import_edge(src, ea, shift=2, splice=eb)
     assert np.abs(dst.extract_statevector(k, 5) - np.kron(a, b)).max() < 1e-10
+
+
+def test_reachable_vector_and_matrix_spaces():
+    rng = np.random.default_rng(19)
+    pkg = Package()
+    a = pkg.from_statevector(rand_vec(rng, 3))
+    b = pkg.make_basis_state(3, "000")
+    ra, rb = pkg.reachable([a]), pkg.reachable([b])
+    assert len(ra) == pkg.count_nodes(a) and len(rb) == 3
+    assert pkg.reachable([a, b]) == ra | rb
+    assert pkg.reachable([ZERO_EDGE]) == set()
+    m = pkg.identity_dd(3)
+    assert len(pkg.reachable([m], matrix=True)) == pkg.count_matrix_nodes(m) == 3
 
 
 def test_dump_format():

@@ -367,7 +367,7 @@ def test_cross_engine_fidelity():
     pkg = Package()
     schrod = simulate(c, pkg)
     rdd = run_hybrid_dd(c)
-    hybrid_in_pkg = pkg.import_portable(rdd.package.export_portable(rdd.state))
+    hybrid_in_pkg = pkg.import_edge(rdd.package, rdd.state)
     fid = abs(pkg.inner_product(schrod, hybrid_in_pkg))
     assert abs(fid - 1) < 1e-9
 
@@ -380,22 +380,27 @@ def test_amp_workers_deterministic():
     assert np.abs(r1.vector - r2.vector).max() < 1e-12
 
 
-def test_amp_single_accumulator_mode():
-    c = generate_random_circuit(8, 5, seed=17, cz_density=0.4)
-    base = run_hybrid_amp(c, workers=1)
-    low = run_hybrid_amp(c, workers=2, single_accumulator=True)
-    assert low.stats["single_accumulator"] is True
-    assert np.abs(base.vector - low.vector).max() < 1e-12
-
-
 def test_dd_workers_canonical_equal():
     c = generate_random_circuit(9, 6, seed=13, cz_density=0.3)
     r1 = run_hybrid_dd(c, workers=1)
     r2 = run_hybrid_dd(c, workers=2)
     fresh = Package()
-    e1 = fresh.import_portable(r1.package.export_portable(r1.state))
-    e2 = fresh.import_portable(r2.package.export_portable(r2.state))
+    e1 = fresh.import_edge(r1.package, r1.state)
+    e2 = fresh.import_edge(r2.package, r2.state)
     assert e1 == e2  # same canonical edge after re-canonicalization
+
+
+def test_dd_takes_amp_cap_like_amp():
+    import inspect
+
+    assert inspect.signature(run_hybrid_dd) == inspect.signature(run_hybrid_amp)
+    c = generate_random_circuit(8, 3, seed=4, cz_density=0.4)
+    for workers in (1, 2):
+        res = run_hybrid_dd(c, workers=workers, amp_cap=6)
+        with pytest.raises(CapacityError):
+            res.package.extract_statevector(res.state)
+    res = run_hybrid_dd(c, workers=2, amp_cap=8)
+    assert np.abs(res.package.extract_statevector(res.state) - dense_simulate(c)).max() < 1e-9
 
 
 def test_paths_independent_of_order():
@@ -413,7 +418,10 @@ def test_paths_independent_of_order():
     assert np.abs(acc - run_hybrid_amp(c, p).vector).max() < 1e-12
 
 
-def test_worker_hard_death_detected(monkeypatch):
+@pytest.mark.parametrize(
+    "engine", ["run_hybrid_amp", "run_hybrid_dd"], ids=["hybrid-amp", "hybrid-dd"]
+)
+def test_worker_hard_death_detected(monkeypatch, engine):
     import os
     import signal
 
@@ -426,7 +434,7 @@ def test_worker_hard_death_detected(monkeypatch):
 
     monkeypatch.setattr(hybrid_mod, "simulate_path", die)
     with pytest.raises(RuntimeError, match="died without reporting"):
-        hybrid_mod.run_hybrid_amp(c, workers=2)
+        getattr(hybrid_mod, engine)(c, workers=2)
 
 
 def test_worker_failure_surfaces(monkeypatch):
