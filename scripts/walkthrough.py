@@ -47,11 +47,12 @@ def main():
         digits = path_digits(cls.decisions, i)
         up, lo = Package(), Package()
         ue, le = simulate_path(circuit, cut, digits, up, lo, cls)
-        ke = lo.import_edge(up, ue, shift=cut.cut, splice=le)
-        arr = lo.extract_statevector(ke, circuit.n)
+        # the path's tensor product: the upper block spliced above the lower
+        ke = pkg.import_edge(up, ue, shift=cut.cut, splice=pkg.import_edge(lo, le))
+        arr = pkg.extract_statevector(ke, circuit.n)
         label = "".join(str(d) for d in digits)
         print(f"  path {label}: {up.count_nodes(ue)} / {lo.count_nodes(le)} nodes  {fmt(arr)}")
-        partials.append(pkg.import_edge(lo, ke))
+        partials.append(ke)
 
     print("\npairwise diagram additions:")
     while len(partials) > 1:

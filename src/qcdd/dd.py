@@ -190,10 +190,6 @@ class Package:
     # ------------------------------------------------------------------
     # queries
 
-    def qubits_of(self, e: Edge) -> int | None:
-        """Qubit count of an edge, or None for zero/scalar edges."""
-        return None if e[1] == 0 else self._vnodes[e[1]][0] + 1
-
     def get_amplitude(self, e: Edge, bits: str) -> complex:
         """Product of edge weights along the path selected by ``bits``
         (``bits[0]`` picks the root-level successor, i.e. qubit ``q_{n-1}``).

@@ -8,13 +8,15 @@ is split over the operator basis of its upper-block operand,
 
 and becomes a decision point; choosing one term per decision yields one
 path, and the full state is the sum over all paths.  Each path simulates
-the two blocks independently (private diagram packages, no shared state)
-and combines them with a Kronecker product.
+the two blocks independently (private diagram packages, no shared state);
+the path's summand is the tensor product of the two block states.
 
-Both modes run one driver, ``_run_paths``; they differ only in the "summer"
-that recombines the paths.  ``run_hybrid_amp`` extracts each path to an
-amplitude array and adds it into a dense accumulator (``_AmpSum``);
-``run_hybrid_dd`` adds the path diagrams inside one package (``_DDSum``).
+Both modes run one driver, ``_run_paths``, which hands each path's two block
+states to a "summer" that forms and adds the tensor product.
+``run_hybrid_amp`` extracts the two block arrays and adds their outer
+product into a dense accumulator (``_AmpSum``); ``run_hybrid_dd`` splices
+the two block diagrams into one diagram inside the run's package and adds
+it there (``_DDSum``).
 
 Workers are OS processes pulling path indices from a shared counter; the
 only shared state is that counter, the immutable circuit, and the final
@@ -68,11 +70,19 @@ class DecisionPoint:
 
 @dataclass
 class Classification:
-    """Gate indices per block plus the decision points, in circuit order."""
+    """Gate indices per block plus the decision points, in circuit order.
+
+    ``lower_ops``/``upper_ops`` are each block's op sequence in circuit
+    order, in block-local qubits: ``("g", gate)`` or ``("d", decision number,
+    qubit, factors)``, where ``factors[d]`` is the block's 2x2 factor of
+    term ``d``.
+    """
 
     lower: list[int]
     upper: list[int]
     decisions: list[DecisionPoint]
+    lower_ops: list[tuple]
+    upper_ops: list[tuple]
 
     @property
     def path_count(self) -> int:
@@ -124,17 +134,28 @@ def classify(circuit: Circuit, partition: Partition) -> Classification:
     lower: list[int] = []
     upper: list[int] = []
     decisions: list[DecisionPoint] = []
+    lower_ops: list[tuple] = []
+    upper_ops: list[tuple] = []
     for i, g in enumerate(circuit.gates):
         qs = g.qubits
         lo = any(q < k for q in qs)
         hi = any(q >= k for q in qs)
         if lo and hi:
-            decisions.append(schmidt_terms(g, partition, i))
+            dp = schmidt_terms(g, partition, i)
+            j = len(decisions)
+            decisions.append(dp)
+            upper_ops.append(("d", j, dp.upper_qubit - k, tuple(t[0] for t in dp.terms)))
+            lower_ops.append(("d", j, dp.lower_qubit, tuple(t[1] for t in dp.terms)))
         elif lo:
             lower.append(i)
+            lower_ops.append(("g", g))
         else:
             upper.append(i)
-    return Classification(lower, upper, decisions)
+            shifted = Gate(
+                g.kind, g.params, tuple(q - k for q in g.controls), tuple(q - k for q in g.targets)
+            )
+            upper_ops.append(("g", shifted))
+    return Classification(lower, upper, decisions, lower_ops, upper_ops)
 
 
 def path_digits(decisions: list[DecisionPoint], index: int) -> tuple[int, ...]:
@@ -149,40 +170,8 @@ def path_digits(decisions: list[DecisionPoint], index: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _block_ops(circuit: Circuit, partition: Partition, cls: Classification):
-    """Per-block op sequences: ('g', local_gate) or ('d', decision_number)."""
-    k = partition.cut
-    by_gate = {dp.gate_index: j for j, dp in enumerate(cls.decisions)}
-    lower_set = set(cls.lower)
-    lower_ops: list[tuple] = []
-    upper_ops: list[tuple] = []
-    for idx, g in enumerate(circuit.gates):
-        j = by_gate.get(idx)
-        if j is not None:
-            lower_ops.append(("d", j))
-            upper_ops.append(("d", j))
-        elif idx in lower_set:
-            lower_ops.append(("g", g))
-        else:
-            shifted = Gate(
-                g.kind,
-                g.params,
-                tuple(q - k for q in g.controls),
-                tuple(q - k for q in g.targets),
-            )
-            upper_ops.append(("g", shifted))
-    return lower_ops, upper_ops
-
-
 def _simulate_block(
-    ops: list[tuple],
-    n_block: int,
-    decisions: list[DecisionPoint],
-    digits: tuple[int, ...],
-    factor_side: int,
-    local_qubit,
-    pkg: Package,
-    check_norm: bool,
+    ops: list[tuple], n_block: int, digits: tuple[int, ...], pkg: Package, check_norm: bool
 ) -> Edge:
     state = pkg.make_basis_state(n_block, "0" * n_block)
     gate_cache: dict[Gate, Edge] = {}
@@ -204,10 +193,8 @@ def _simulate_block(
                         f"block norm {nrm!r} != {expected_norm!r} after {g.kind}"
                     )
         else:
-            dp = decisions[op[1]]
-            mat = dp.terms[digits[op[1]]][factor_side]
-            q = local_qubit(dp)
-            state = pkg.multiply(pkg.matrix_dd(n_block, (q,), mat), state)
+            _, j, q, factors = op
+            state = pkg.multiply(pkg.matrix_dd(n_block, (q,), factors[digits[j]]), state)
             if check_norm:
                 expected_norm = pkg.norm(state)
     return state
@@ -232,15 +219,8 @@ def simulate_path(
         if not 0 <= d < len(dp.terms):
             raise ValueError(f"digit {d} out of range for decision at gate {dp.gate_index}")
     k = partition.cut
-    lower_ops, upper_ops = _block_ops(circuit, partition, cls)
-    upper = _simulate_block(
-        upper_ops, circuit.n - k, cls.decisions, path, 0,
-        lambda dp: dp.upper_qubit - k, pkg_upper, check_norm,
-    )
-    lower = _simulate_block(
-        lower_ops, k, cls.decisions, path, 1,
-        lambda dp: dp.lower_qubit, pkg_lower, check_norm,
-    )
+    upper = _simulate_block(cls.upper_ops, circuit.n - k, path, pkg_upper, check_norm)
+    lower = _simulate_block(cls.lower_ops, k, path, pkg_lower, check_norm)
     return upper, lower
 
 
@@ -265,31 +245,32 @@ _STAGES = ("simulate", "kron", "extract", "add")
 
 
 class _AmpSum:
-    """Amplitude mode: each path's array is extracted and added into one
-    dense accumulator; a partial sum is that array."""
+    """Amplitude mode: each path's two block arrays are extracted and their
+    outer product, flattened with the upper block in the high bits, is added
+    into one dense accumulator; a partial sum is that array."""
 
     mode = "hybrid-amp"
 
-    def __init__(self, n: int, tol: float, amp_cap: int):
+    def __init__(self, n: int, cut: int, tol: float, amp_cap: int):
         self.n = n
+        self.cut = cut
         self.tol = tol
         self.amp_cap = amp_cap
         self.acc = np.zeros(1 << n, dtype=complex)
-        self.last = None
 
-    def add_path(self, pkg: Package, edge: Edge, times: dict):
+    def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
-        arr = pkg.extract_statevector(edge, self.n)
+        upper = up.extract_statevector(ue, self.n - self.cut)
+        lower = lo.extract_statevector(le, self.cut)
         t1 = time.perf_counter()
-        self.acc += arr
-        # holding the previous array through the next extraction lets the
-        # allocator reuse its pages; freeing it at once maps fresh ones
-        self.last = arr
+        prod = np.multiply.outer(upper, lower)
+        t2 = time.perf_counter()
+        self.acc += prod.ravel()
         times["extract"] += t1 - t0
-        times["add"] += time.perf_counter() - t1
+        times["kron"] += t2 - t1
+        times["add"] += time.perf_counter() - t2
 
     def total(self, times: dict) -> np.ndarray:
-        self.last = None
         return self.acc
 
     def ship(self, acc: np.ndarray) -> np.ndarray:
@@ -303,21 +284,25 @@ class _AmpSum:
 
 
 class _DDSum:
-    """DD mode: each path's diagram is imported into the run's package and
-    added by a binary counter, so the addition tree has logarithmic depth in
-    the number of paths; a partial sum is an edge of that package."""
+    """DD mode: each path's lower block diagram is imported into the run's
+    package and the upper block is spliced above it, which forms the tensor
+    product there; the path diagrams are added by a binary counter, so the
+    addition tree has logarithmic depth in the number of paths.  A partial
+    sum is an edge of that package."""
 
     mode = "hybrid-dd"
 
-    def __init__(self, tol: float, amp_cap: int):
+    def __init__(self, cut: int, tol: float, amp_cap: int):
+        self.cut = cut
         self.tol = tol
         self.amp_cap = amp_cap
         self.pkg = Package(tol, extract_cap=amp_cap)
         self.slots: list[Edge | None] = []
 
-    def add_path(self, pkg: Package, edge: Edge, times: dict):
+    def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
-        contrib = self.pkg.import_edge(pkg, edge)
+        lower = self.pkg.import_edge(lo, le)
+        contrib = self.pkg.import_edge(up, ue, shift=self.cut, splice=lower)
         t1 = time.perf_counter()
         slots = self.slots
         pos = 0
@@ -376,11 +361,8 @@ def _sum_paths(circuit, partition, cls, indices, check_norm, summer, times) -> i
         lo = Package(summer.tol, extract_cap=summer.amp_cap)
         t0 = time.perf_counter()
         ue, le = simulate_path(circuit, partition, digits, up, lo, cls, check_norm)
-        t1 = time.perf_counter()
-        ke = lo.import_edge(up, ue, shift=partition.cut, splice=le)
-        times["simulate"] += t1 - t0
-        times["kron"] += time.perf_counter() - t1
-        summer.add_path(lo, ke, times)
+        times["simulate"] += time.perf_counter() - t0
+        summer.add_path(up, ue, lo, le, times)
         max_nodes = max(max_nodes, up.peak_nodes + lo.peak_nodes)
     return max_nodes
 
@@ -507,16 +489,22 @@ def run_hybrid_amp(
 ) -> HybridResult:
     """Path-sum run recombining through per-worker dense accumulators.
 
-    Cross-path diagrams are never added as diagrams.  Memory budget:
-    workers * 2**n complex amplitudes.
+    Cross-path diagrams are never added as diagrams.  Memory budget, in
+    arrays of 2**n complex amplitudes: per worker, the accumulator plus one
+    per-path outer product; with more than one worker, also the workers'
+    partials that this process holds, with their pairwise sums, while
+    combining them.
     """
     n = circuit.n
     if n > amp_cap:
         raise CapacityError(
-            f"amplitude accumulators need workers * 2**{n} * 16 bytes; cap is 2**{amp_cap}"
+            f"amplitude mode needs arrays of 2**{n} * 16 bytes (per worker an accumulator"
+            f" and one per-path product, plus the partials combined at the end);"
+            f" cap is 2**{amp_cap}"
         )
     partition = partition or default_partition(n)
-    vector, stats = _run_paths(circuit, partition, workers, check_norm, _AmpSum(n, tol, amp_cap))
+    summer = _AmpSum(n, partition.cut, tol, amp_cap)
+    vector, stats = _run_paths(circuit, partition, workers, check_norm, summer)
     return _result(stats, vector=vector)
 
 
@@ -534,7 +522,7 @@ def run_hybrid_dd(
     dense extraction above ``amp_cap`` qubits.
     """
     partition = partition or default_partition(circuit.n)
-    summer = _DDSum(tol, amp_cap)
+    summer = _DDSum(partition.cut, tol, amp_cap)
     edge, stats = _run_paths(circuit, partition, workers, check_norm, summer)
     stats["final_nodes"] = summer.pkg.count_nodes(edge)
     return _result(stats, state=edge, package=summer.pkg)

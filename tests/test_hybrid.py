@@ -3,10 +3,11 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcdd.circuit import (
+    GATE_KINDS,
     CapacityError,
     Circuit,
     Gate,
@@ -416,6 +417,80 @@ def test_paths_independent_of_order():
         ke = lo.import_edge(up, ue, shift=p.cut, splice=le)
         acc += lo.extract_statevector(ke, 6)
     assert np.abs(acc - run_hybrid_amp(c, p).vector).max() < 1e-12
+
+
+@st.composite
+def cut_circuits(draw):
+    """A circuit of up to 8 qubits over the full gate set, a cut in 1..n-1,
+    and at most 64 paths (a cross-cut gate that would exceed it is dropped)."""
+    n = draw(st.integers(2, 8))
+    cut = draw(st.integers(1, n - 1))
+    gates = []
+    paths = 1
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        n_params, n_controls, n_targets = GATE_KINDS[kind]
+        qubits = draw(st.permutations(range(n)))[: n_controls + n_targets]
+        params = tuple(draw(st.floats(-6.3, 6.3)) for _ in range(n_params))
+        g = Gate(kind, params, tuple(qubits[:n_controls]), tuple(qubits[n_controls:]))
+        if min(g.qubits) < cut <= max(g.qubits):
+            terms = len(schmidt_terms(g, Partition(cut)).terms)
+            if paths * terms > 64:
+                continue
+            paths *= terms
+        gates.append(g)
+    return Circuit(n, tuple(gates)), cut
+
+
+def _after_one_qubit_layer(n, *gates):
+    layer = tuple(Gate(kind, targets=(q,)) for q, kind in enumerate("hyhxhshh"[:n]))
+    return Circuit(n, layer + gates)
+
+
+# cut 1 and cut n-1: outer products of shape (2**(n-1), 2) and (2, 2**(n-1)),
+# each with a lower-control cx across the cut (four terms per decision)
+CUT_FIRST = _after_one_qubit_layer(
+    5, Gate("cx", controls=(0,), targets=(3,)), Gate("cp", (0.7,), (4,), (0,))
+)
+CUT_LAST = _after_one_qubit_layer(
+    5, Gate("cx", controls=(2,), targets=(4,)), Gate("swap", targets=(4, 1))
+)
+# from |0..0>, the lower-control cx has paths whose block states are zero
+ZERO_PATHS = Circuit(4, (Gate("cx", controls=(0,), targets=(2,)), Gate("h", targets=(3,))))
+
+
+@given(cut_circuits())
+@example((CUT_FIRST, 1))
+@example((CUT_LAST, 4))
+@example((ZERO_PATHS, 2))
+@settings(max_examples=120, deadline=None)
+def test_engines_match_oracle_over_random_cuts(case):
+    c, cut = case
+    p = Partition(cut)
+    assert classify(c, p).path_count <= 64
+    ref = dense_simulate(c)
+    ramp = run_hybrid_amp(c, p)
+    rdd = run_hybrid_dd(c, p)
+    assert np.abs(ramp.vector - ref).max() < 1e-9
+    assert np.abs(rdd.package.extract_statevector(rdd.state, c.n) - ref).max() < 1e-9
+
+
+def test_amp_extracts_only_block_arrays(monkeypatch):
+    c = generate_random_circuit(8, 5, seed=0, cz_density=0.5)
+    p = Partition(3)
+    assert classify(c, p).path_count > 1
+    sizes = []
+    extract = Package.extract_statevector
+
+    def recording(pkg, e, n=None):
+        out = extract(pkg, e, n)
+        sizes.append(out.size.bit_length() - 1)
+        return out
+
+    monkeypatch.setattr(Package, "extract_statevector", recording)
+    res = run_hybrid_amp(c, p, workers=1)
+    assert sizes and max(sizes) <= max(p.cut, c.n - p.cut)
+    assert np.abs(res.vector - dense_simulate(c)).max() < 1e-9
 
 
 @pytest.mark.parametrize(
