@@ -80,7 +80,13 @@ def _run_timed(fn, timeout: float):
     proc.start()
     child.close()
     if parent.poll(timeout):
-        status, a, b = parent.recv()
+        try:
+            status, a, b = parent.recv()
+        except EOFError:  # the child died without reporting (OOM kill, SIGKILL)
+            proc.join()
+            raise RuntimeError(
+                f"engine run died without reporting (exit code {proc.exitcode})"
+            ) from None
         proc.join()
         if status == "err":
             raise RuntimeError(f"engine run failed:\n{a}")

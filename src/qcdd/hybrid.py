@@ -18,13 +18,18 @@ product into a dense accumulator (``_AmpSum``); ``run_hybrid_dd`` splices
 the two block diagrams into one diagram inside the run's package and adds
 it there (``_DDSum``).
 
-Workers are OS processes pulling path indices from a shared counter; the
-only shared state is that counter, the immutable circuit, and the final
-reduction step.
+With ``W`` workers, worker ``w`` is a forked OS process that sums paths
+``w, w + W, ...`` and replies through its own pipe; workers share no lock.
+An amplitude worker adds into its own row of one anonymous shared mapping
+and replies with only its stage times and node count; a DD worker sends its
+partial sum copied into a fresh package.  This process combines the
+partial sums.
 """
 
 from __future__ import annotations
 
+import functools
+import mmap
 import multiprocessing as mp
 import time
 import traceback
@@ -247,7 +252,9 @@ _STAGES = ("simulate", "kron", "extract", "add")
 class _AmpSum:
     """Amplitude mode: each path's two block arrays are extracted and their
     outer product, flattened with the upper block in the high bits, is added
-    into one dense accumulator; a partial sum is that array."""
+    into a dense accumulator.  Each worker owns one accumulator row; with
+    more than one worker the rows share one anonymous mapping made before
+    forking, so workers add into them in place and send no array back."""
 
     mode = "hybrid-amp"
 
@@ -256,7 +263,17 @@ class _AmpSum:
         self.cut = cut
         self.tol = tol
         self.amp_cap = amp_cap
-        self.acc = np.zeros(1 << n, dtype=complex)
+
+    def open(self, workers: int):
+        size = 1 << self.n
+        if workers == 1:
+            self.rows = np.zeros((1, size), dtype=complex)
+        else:
+            shared = mmap.mmap(-1, workers * 16 * size)
+            self.rows = np.frombuffer(shared, dtype=complex).reshape(workers, size)
+
+    def as_worker(self, w: int):
+        self.acc = self.rows[w]
 
     def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
@@ -270,25 +287,23 @@ class _AmpSum:
         times["kron"] += t2 - t1
         times["add"] += time.perf_counter() - t2
 
-    def total(self, times: dict) -> np.ndarray:
-        return self.acc
+    def ship(self):
+        return None  # the worker's row is already in the shared mapping
 
-    def ship(self, acc: np.ndarray) -> np.ndarray:
-        return acc
-
-    def adopt(self, acc: np.ndarray) -> np.ndarray:
-        return acc
-
-    def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a + b
+    def total(self, shipped) -> np.ndarray:
+        """The sum of the rows, in a new array when there are several, so the
+        result does not keep the shared mapping alive."""
+        rows, self.rows, self.acc = self.rows, None, None
+        return rows[0] if len(rows) == 1 else rows.sum(axis=0)
 
 
 class _DDSum:
     """DD mode: each path's lower block diagram is imported into the run's
     package and the upper block is spliced above it, which forms the tensor
     product there; the path diagrams are added by a binary counter, so the
-    addition tree has logarithmic depth in the number of paths.  A partial
-    sum is an edge of that package."""
+    addition tree has logarithmic depth in the number of paths.  A worker
+    ships its partial sum copied into a fresh package; the parent imports
+    the partials and adds them by the same counter."""
 
     mode = "hybrid-dd"
 
@@ -299,11 +314,23 @@ class _DDSum:
         self.pkg = Package(tol, extract_cap=amp_cap)
         self.slots: list[Edge | None] = []
 
+    def open(self, workers: int):
+        pass  # every process sums into its own package
+
+    def as_worker(self, w: int):
+        pass
+
     def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
         lower = self.pkg.import_edge(lo, le)
         contrib = self.pkg.import_edge(up, ue, shift=self.cut, splice=lower)
         t1 = time.perf_counter()
+        self._push(contrib)
+        times["kron"] += t1 - t0
+        times["add"] += time.perf_counter() - t1
+        self.pkg.maybe_gc([s for s in self.slots if s is not None])
+
+    def _push(self, contrib: Edge):
         slots = self.slots
         pos = 0
         while pos < len(slots) and slots[pos] is not None:
@@ -314,48 +341,28 @@ class _DDSum:
             slots.append(contrib)
         else:
             slots[pos] = contrib
-        times["kron"] += t1 - t0
-        times["add"] += time.perf_counter() - t1
-        self.pkg.maybe_gc([s for s in slots if s is not None])
 
-    def total(self, times: dict) -> Edge | None:
-        t0 = time.perf_counter()
-        result = None
-        for s in self.slots:
-            if s is not None:
-                result = s if result is None else self.pkg.add(s, result)
-        times["add"] += time.perf_counter() - t0
-        return result
+    def ship(self):
+        """A worker's partial: its sum copied into a fresh package, which
+        holds only that diagram's nodes, plus the edge there."""
+        out = Package(self.tol, extract_cap=self.amp_cap)
+        return out, out.import_edge(self.pkg, self.total(None))
 
-    def ship(self, edge: Edge | None):
-        """A worker's partial: its package, swept down to ``edge``, plus the edge."""
-        if edge is None:
-            return None
-        self.pkg.gc([edge])
-        return self.pkg, edge
-
-    def adopt(self, shipped) -> Edge:
-        return self.pkg.import_edge(*shipped)
-
-    def combine(self, a: Edge, b: Edge) -> Edge:
-        return self.pkg.add(a, b)
+    def total(self, shipped) -> Edge:
+        for pkg, edge in shipped or ():
+            self._push(self.pkg.import_edge(pkg, edge))
+        live = [s for s in self.slots if s is not None]
+        return functools.reduce(lambda acc, s: self.pkg.add(s, acc), live)
 
 
-def _paths_from_counter(counter, total: int):
-    while True:
-        with counter.get_lock():
-            i = counter.value
-            if i >= total:
-                return
-            counter.value = i + 1
-        yield i
-
-
-def _sum_paths(circuit, partition, cls, indices, check_norm, summer, times) -> int:
-    """Simulate the given paths and fold each into ``summer``; stage times
-    accumulate into ``times``.  Returns the largest per-path node count."""
+def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
+    """Worker ``w`` of ``workers``: simulate paths ``w, w + workers, ...``
+    and fold each into ``summer``.  Returns the stage times and the largest
+    per-path node count."""
+    summer.as_worker(w)
+    times = dict.fromkeys(_STAGES, 0.0)
     max_nodes = 0
-    for i in indices:
+    for i in range(w, cls.path_count, workers):
         digits = path_digits(cls.decisions, i)
         up = Package(summer.tol, extract_cap=summer.amp_cap)
         lo = Package(summer.tol, extract_cap=summer.amp_cap)
@@ -364,112 +371,95 @@ def _sum_paths(circuit, partition, cls, indices, check_norm, summer, times) -> i
         times["simulate"] += time.perf_counter() - t0
         summer.add_path(up, ue, lo, le, times)
         max_nodes = max(max_nodes, up.peak_nodes + lo.peak_nodes)
-    return max_nodes
+    return times, max_nodes
 
 
-def _worker(circuit, partition, cls, counter, total, check_norm, summer, out_q, wid):
+def _worker(circuit, partition, cls, w, workers, check_norm, summer, conn):
+    """A forked worker: sums its paths and sends one reply through its pipe."""
     try:
-        times = dict.fromkeys(_STAGES, 0.0)
-        max_nodes = _sum_paths(
-            circuit, partition, cls, _paths_from_counter(counter, total), check_norm, summer,
-            times,
-        )
-        out_q.put(("ok", wid, summer.ship(summer.total(times)), times, max_nodes))
+        times, max_nodes = _sum_paths(circuit, partition, cls, w, workers, check_norm, summer)
+        t0 = time.perf_counter()
+        partial = summer.ship()
+        times["add"] += time.perf_counter() - t0
+        conn.send(("ok", partial, times, max_nodes))
     except BaseException:
-        out_q.put(("err", wid, traceback.format_exc(), None, 0))
+        conn.send(("err", traceback.format_exc(), None, 0))
 
 
-def _spawn_and_collect(target, args_per_worker, out_q):
-    """Start one process per arg tuple, drain one message per worker, join.
-
-    A worker that raises reports through the queue; one that dies without
-    reporting (hard kill, out-of-memory) is detected by its exit code so the
-    run fails instead of hanging.
-    """
-    import queue as queue_mod
-
+def _fork_workers(circuit, partition, cls, workers, check_norm, summer) -> list[tuple]:
+    """Fork the workers, each with its own pipe, and receive their replies
+    (partial, times, max_nodes) in turn.  A worker that raises sends its
+    traceback; one that dies without reporting (hard kill, out-of-memory)
+    leaves EOF on its pipe.  Either way the others are terminated, all are
+    joined, and the run fails instead of hanging."""
     ctx = mp.get_context("fork")
-    procs = [ctx.Process(target=target, args=args, daemon=True) for args in args_per_worker]
-    for p in procs:
-        p.start()
-    replies = []
-    while len(replies) < len(procs):
-        try:
-            replies.append(out_q.get(timeout=0.5))
-            continue
-        except queue_mod.Empty:
-            pass
-        crashed = [p for p in procs if p.exitcode not in (None, 0)]
-        if crashed:
+    procs, conns, replies = [], [], []
+    try:
+        for w in range(workers):
+            conn, child_conn = ctx.Pipe(duplex=False)
+            conns.append(conn)
+            args = (circuit, partition, cls, w, workers, check_norm, summer, child_conn)
+            proc = ctx.Process(target=_worker, args=args, daemon=True)
+            proc.start()
+            procs.append(proc)
+            # the worker holds the only write end, so its exit means EOF here
+            child_conn.close()
+        for w, (proc, conn) in enumerate(zip(procs, conns)):
             try:
-                while len(replies) < len(procs):
-                    replies.append(out_q.get(timeout=0.5))
-            except queue_mod.Empty:
-                pass
-            if len(replies) < len(procs):
-                for p in procs:
-                    if p.is_alive():
-                        p.terminate()
-                for p in procs:
-                    p.join()
+                reply = conn.recv()
+            except EOFError:
+                proc.join()
                 raise RuntimeError(
-                    f"worker died without reporting (exit code {crashed[0].exitcode})"
-                )
-    for p in procs:
-        p.join()
-    for reply in replies:
-        if reply[0] == "err":
-            raise RuntimeError(f"worker {reply[1]} failed:\n{reply[2]}")
+                    f"worker died without reporting (exit code {proc.exitcode})"
+                ) from None
+            if reply[0] == "err":
+                raise RuntimeError(f"worker {w} failed:\n{reply[1]}")
+            replies.append(reply[1:])
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
     return replies
 
 
 def _run_paths(circuit, partition, workers, check_norm, summer):
     """The path sum of both modes; ``summer`` decides how paths recombine.
 
-    With one worker the paths are summed in this process.  Otherwise forked
-    workers pull path indices from a shared counter, each summing its own
-    paths, and their partial sums are adopted here and combined pairwise.
-    Returns (sum, stats record).
+    With one worker the paths are summed in this process.  Otherwise worker
+    ``w`` of ``W`` is forked to sum paths ``w, w + W, ...``, and the
+    workers' partial sums are combined here.  Returns (sum, stats record).
+
+    A summer is told the worker count by ``open`` before any fork, and
+    which worker's paths it sums by ``as_worker``; a forked worker replies
+    with ``ship()``, and ``total`` gives the run's sum from those replies
+    (``None`` when the paths were summed in this process).
     """
     cls = classify(circuit, partition)
     total = cls.path_count
     workers = max(1, min(workers or 1, total))
     t_start = time.perf_counter()
-    times = dict.fromkeys(_STAGES, 0.0)
+    summer.open(workers)
     if workers == 1:
-        max_nodes = _sum_paths(circuit, partition, cls, range(total), check_norm, summer, times)
-        partials = [summer.total(times)]
-        t0 = time.perf_counter()
+        times, max_nodes = _sum_paths(circuit, partition, cls, 0, 1, check_norm, summer)
+        shipped = None
     else:
-        ctx = mp.get_context("fork")
-        counter = ctx.Value("l", 0)
-        out_q = ctx.Queue()
-        args = [
-            (circuit, partition, cls, counter, total, check_norm, summer, out_q, w)
-            for w in range(workers)
-        ]
-        replies = _spawn_and_collect(_worker, args, out_q)
-        max_nodes = max(reply[4] for reply in replies)
-        for reply in replies:
-            for stage in _STAGES:
-                times[stage] += reply[3][stage]
-        t0 = time.perf_counter()
-        partials = [summer.adopt(reply[2]) for reply in replies if reply[2] is not None]
-    while len(partials) > 1:
-        pairs = zip(partials[::2], partials[1::2])
-        partials = [summer.combine(a, b) for a, b in pairs] + partials[len(partials) & ~1:]
+        replies = _fork_workers(circuit, partition, cls, workers, check_norm, summer)
+        shipped, worker_times, nodes = zip(*replies)
+        max_nodes = max(nodes)
+        times = {stage: sum(t[stage] for t in worker_times) for stage in _STAGES}
+    t0 = time.perf_counter()
+    result = summer.total(shipped)
     times["add"] += time.perf_counter() - t0
-    stats = {
-        "mode": summer.mode,
-        "n": circuit.n,
-        "cut": partition.cut,
-        "decisions": len(cls.decisions),
-        "path_count": total,
-        "workers": workers,
-        "times": {**times, "total": time.perf_counter() - t_start},
-        "max_path_nodes": max_nodes,
-    }
-    return partials[0], stats
+    times["total"] = time.perf_counter() - t_start
+    return result, dict(
+        mode=summer.mode, n=circuit.n, cut=partition.cut, decisions=len(cls.decisions),
+        path_count=total, workers=workers, times=times, max_path_nodes=max_nodes,
+    )
 
 
 def _result(stats: dict, **outcome) -> HybridResult:
@@ -490,16 +480,16 @@ def run_hybrid_amp(
     """Path-sum run recombining through per-worker dense accumulators.
 
     Cross-path diagrams are never added as diagrams.  Memory budget, in
-    arrays of 2**n complex amplitudes: per worker, the accumulator plus one
-    per-path outer product; with more than one worker, also the workers'
-    partials that this process holds, with their pairwise sums, while
-    combining them.
+    arrays of 2**n complex amplitudes: per worker, its accumulator plus one
+    per-path outer product; with more than one worker, the accumulators are
+    the rows of one shared mapping, which this process reads to sum them
+    into one new array.
     """
     n = circuit.n
     if n > amp_cap:
         raise CapacityError(
             f"amplitude mode needs arrays of 2**{n} * 16 bytes (per worker an accumulator"
-            f" and one per-path product, plus the partials combined at the end);"
+            f" and one per-path product, plus the sum of the accumulators);"
             f" cap is 2**{amp_cap}"
         )
     partition = partition or default_partition(n)

@@ -9,6 +9,7 @@ import time
 from random import Random
 
 import numpy as np
+import pytest
 
 from qcdd.circuit import Circuit, Gate, dense_simulate, generate_random_circuit
 from qcdd.dd import ZERO_EDGE, Package
@@ -258,6 +259,7 @@ def _trend_seeds():
     return seeds
 
 
+@pytest.mark.slow
 def test_criterion_9_trend_and_report_structure():
     # (a) the bench report mirrors the reference table's column structure
     rows = bench_mod.run_bench([6], [4], [0, 1], density=0.4, pairing="any",

@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
+import signal
 
-from qcdd.bench import COLUMNS, run_bench, write_csv, write_json
+import pytest
+
+from qcdd.bench import COLUMNS, _run_timed, run_bench, write_csv, write_json
 from qcdd.hybrid import Partition, classify
 from qcdd.circuit import generate_random_circuit
 
@@ -37,3 +41,8 @@ def test_bench_timeout_marks_rows():
     cells = row.cells()
     assert cells[2].startswith(">")
     assert cells[4] == "---"
+
+
+def test_bench_engine_death_names_exit_code():
+    with pytest.raises(RuntimeError, match=r"died without reporting \(exit code -9\)"):
+        _run_timed(lambda: os.kill(os.getpid(), signal.SIGKILL), 30)

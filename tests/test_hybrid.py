@@ -529,6 +529,94 @@ def test_worker_failure_surfaces(monkeypatch):
         hybrid_mod.run_hybrid_dd(c, workers=2)
 
 
+@pytest.mark.parametrize("dying_path", [0, 1], ids=["worker-0", "worker-1"])
+@pytest.mark.parametrize(
+    "engine", ["run_hybrid_amp", "run_hybrid_dd"], ids=["hybrid-amp", "hybrid-dd"]
+)
+def test_one_worker_dies_the_other_finishes(monkeypatch, engine, dying_path):
+    import multiprocessing as mp
+    import os
+    import signal
+    import time
+
+    import qcdd.hybrid as hybrid_mod
+
+    c = generate_random_circuit(8, 4, seed=2, cz_density=0.6)
+    cls = classify(c, default_partition(8))
+    assert cls.path_count >= 4
+    fatal = path_digits(cls.decisions, dying_path)
+    real = hybrid_mod.simulate_path
+
+    def die_on_one_path(circuit, partition, path, *args, **kwargs):
+        if path == fatal:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(circuit, partition, path, *args, **kwargs)
+
+    # path i goes to worker i % 2: only that worker dies
+    monkeypatch.setattr(hybrid_mod, "simulate_path", die_on_one_path)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"died without reporting \(exit code -9\)"):
+        getattr(hybrid_mod, engine)(c, workers=2)
+    assert time.perf_counter() - t0 < 10
+    assert mp.active_children() == []
+
+
+def test_amp_workers_send_no_array():
+    import qcdd.hybrid as hybrid_mod
+
+    c = generate_random_circuit(8, 4, seed=2, cz_density=0.6)
+    p = default_partition(8)
+    summer = hybrid_mod._AmpSum(8, p.cut, 1e-13, 30)
+    summer.open(2)
+    replies = hybrid_mod._fork_workers(c, p, classify(c, p), 2, False, summer)
+    assert [partial for partial, _, _ in replies] == [None, None]
+    # the workers added into their rows of the shared mapping
+    assert np.abs(summer.total([None, None]) - dense_simulate(c)).max() < 1e-9
+
+
+def test_dd_ship_sends_only_live_nodes():
+    import qcdd.hybrid as hybrid_mod
+
+    c = generate_random_circuit(8, 5, seed=0, cz_density=0.5)
+    p = Partition(4)
+    cls = classify(c, p)
+    summer = hybrid_mod._DDSum(p.cut, 1e-13, 30)
+    summer.pkg.gc_limit = 0  # sweep after every path, leaving freed slots behind
+    hybrid_mod._sum_paths(c, p, cls, 0, 1, False, summer)
+    assert None in summer.pkg._vnodes[1:]
+    pkg, edge = summer.ship()
+    assert None not in pkg._vnodes[1:]
+    assert len(pkg._vnodes) - 1 == pkg.count_nodes(edge)
+    assert np.abs(pkg.extract_statevector(edge, 8) - dense_simulate(c)).max() < 1e-9
+
+
+def test_five_workers_match_oracle():
+    # five workers oversubscribe the two cores this suite is tuned for
+    c = generate_random_circuit(8, 5, seed=0, cz_density=0.5)
+    workers = 5
+    assert classify(c, default_partition(8)).path_count >= workers
+    ref = dense_simulate(c)
+    ramp = run_hybrid_amp(c, workers=workers)
+    rdd = run_hybrid_dd(c, workers=workers)
+    assert ramp.workers == rdd.workers == workers
+    assert np.abs(ramp.vector - ref).max() < 1e-9
+    assert np.abs(rdd.package.extract_statevector(rdd.state, 8) - ref).max() < 1e-9
+
+
+@given(cut_circuits())
+@settings(max_examples=25, deadline=None)
+def test_one_vs_two_workers_over_random_cuts(case):
+    c, cut = case
+    p = Partition(cut)
+    a1 = run_hybrid_amp(c, p, workers=1)
+    a2 = run_hybrid_amp(c, p, workers=2)
+    assert np.abs(a1.vector - a2.vector).max() < 1e-12
+    d1 = run_hybrid_dd(c, p, workers=1)
+    d2 = run_hybrid_dd(c, p, workers=2)
+    fresh = Package()
+    assert fresh.import_edge(d1.package, d1.state) == fresh.import_edge(d2.package, d2.state)
+
+
 def test_stats_record_is_json_ready(fig4):
     for res in (run_hybrid_dd(fig4, workers=2), run_hybrid_amp(fig4, workers=2)):
         rec = json.loads(json.dumps(res.stats))
