@@ -10,14 +10,18 @@ to a node at level ``l - 1``, or to the terminal when ``l == 0``.
 Edges are plain ``(weight_handle, node_id)`` tuples.  Node id 0 is the
 terminal of both node spaces; the canonical zero edge is ``(ZERO, 0)``.
 Nodes are normalized by dividing the successor weights by the one of
-largest magnitude, leftmost on ties (the factor is pulled into the
-incoming edge), and uniqued in a hash table, so equal sub-vectors share
-one node and equal diagrams compare equal as edge tuples.
+largest magnitude, leftmost among magnitudes within ``tol`` of each other
+(the factor is pulled into the incoming edge), and uniqued in a hash table,
+so equal sub-vectors share one node and equal diagrams compare equal as
+edge tuples.
 
 A :class:`Package` owns the unique tables, the memoization caches, and the
-weight table, and is strictly single-writer.  Parallel simulation runs one
-package per worker and never shares one across workers; results are moved
-between packages by value with :meth:`Package.import_edge`.
+weight table, and is strictly single-writer.  Operator diagrams are
+memoized by content for the package's lifetime and are the only roots of
+the matrix node space, which garbage collection therefore never sweeps.
+Parallel simulation runs one package per block per worker and never shares
+one across workers; results are moved between packages by value with
+:meth:`Package.import_edge`.
 """
 
 from __future__ import annotations
@@ -46,10 +50,11 @@ class Package:
         self._vnodes: list[tuple | None] = [None]
         self._vtable: dict[tuple, int] = {}
         self._vfree: list[int] = []
-        # id -> (level, w0, t0, w1, t1, w2, t2, w3, t3)
+        # id -> (level, w0, t0, w1, t1, w2, t2, w3, t3); never freed
         self._mnodes: list[tuple | None] = [None]
         self._mtable: dict[tuple, int] = {}
-        self._mfree: list[int] = []
+        # (n, qubits, matrix bytes) -> operator diagram; gc roots of the matrix space
+        self._memo_op: dict[tuple, Edge] = {}
         # compute tables, dropped wholesale on gc
         self._memo_add: dict = {}
         self._memo_mul: dict = {}
@@ -72,12 +77,14 @@ class Package:
         """Normalize and unique a prospective node; returns its canonical edge.
 
         An all-zero node collapses to the canonical zero edge.  Otherwise the
-        successor weight of largest magnitude (leftmost on exact ties) is
-        divided out of both successors and returned as the edge weight.
-        Dividing by the largest keeps every stored weight at magnitude <= 1,
-        which the absolute-tolerance weight uniquing relies on: a successor
-        whose quotient canonicalizes to zero really does carry negligible
-        mass relative to its sibling.
+        successor weight of largest magnitude is divided out of both
+        successors and returned as the edge weight.  Magnitudes within ``tol``
+        are a tie, which the left successor wins, so a last-bit rounding
+        difference cannot pick another divisor for the same sub-vector.
+        Stored weights thus stay at magnitude 1 up to a tie (below 2), which
+        the absolute-tolerance weight uniquing relies on: a successor whose
+        quotient canonicalizes to zero really does carry negligible mass
+        relative to its sibling.
         """
         w0, t0 = e0
         w1, t1 = e1
@@ -90,7 +97,7 @@ class Package:
         elif w1 == ZERO:
             key = (level, ONE, t0, ZERO, 0)
             norm = w0
-        elif abs(wt.val(w1)) > abs(wt.val(w0)):
+        elif abs(wt.val(w1)) - abs(wt.val(w0)) > wt.tol:
             norm = w1
             nw0 = wt.div(w0, w1)
             key = (level, ZERO, 0, ONE, t1) if nw0 == ZERO else (level, nw0, t0, ONE, t1)
@@ -111,21 +118,16 @@ class Package:
         return (norm, node)
 
     def make_matrix_node(self, level: int, succ: Iterable[Edge]) -> Edge:
-        """Matrix-node analog of :meth:`make_vector_node` (four successors)."""
+        """Matrix-node analog of :meth:`make_vector_node` (four successors;
+        the leftmost within ``tol`` of the largest magnitude is divided out)."""
         succ = list(succ)
         wt = self.weights
-        norm = ZERO
-        best = -1.0
-        pick = -1
-        for i, (w, _) in enumerate(succ):
-            if w != ZERO:
-                mag = abs(wt.val(w))
-                if mag > best:
-                    best = mag
-                    norm = w
-                    pick = i
-        if norm == ZERO:
+        mags = [abs(wt.val(w)) if w != ZERO else -1.0 for w, _ in succ]
+        best = max(mags)
+        if best < 0:
             return ZERO_EDGE
+        pick = next(i for i, mag in enumerate(mags) if best - mag <= wt.tol)
+        norm = succ[pick][0]
         parts = []
         for i, (w, t) in enumerate(succ):
             if w == ZERO:
@@ -138,12 +140,8 @@ class Package:
         key = (level, *parts)
         node = self._mtable.get(key)
         if node is None:
-            if self._mfree:
-                node = self._mfree.pop()
-                self._mnodes[node] = key
-            else:
-                node = len(self._mnodes)
-                self._mnodes.append(key)
+            node = len(self._mnodes)
+            self._mnodes.append(key)
             self._mtable[key] = node
             self._bump_peak()
         return (norm, node)
@@ -221,10 +219,14 @@ class Package:
         return amp
 
     def extract_statevector(self, e: Edge, n: int | None = None) -> np.ndarray:
-        """Full ``2**n`` amplitude array, one recursive traversal.
+        """Full ``2**n`` amplitude array, filled in place depth-first.
 
-        Each reachable node's sub-block is computed exactly once and reused
-        wherever the node is shared.  Refuses ``n`` above ``extract_cap``.
+        A node's first visit fills its slice of the output; a later visit
+        copies that slice, rescaled by the ratio of the two incoming factors,
+        so every amplitude is written once.  The first factor is read back
+        from the slice: following successors of weight ONE (every node has
+        one) leads to an amplitude equal to it.  Besides the output, this
+        keeps one offset per node slot.  Refuses ``n`` above ``extract_cap``.
         """
         w, t = e
         if n is None:
@@ -236,8 +238,8 @@ class Package:
             raise CapacityError(
                 f"extraction of 2**{n} amplitudes exceeds the cap of 2**{self.extract_cap}"
             )
+        out = np.zeros(1 << n, dtype=complex)
         if t == 0:
-            out = np.zeros(1 << n, dtype=complex)
             if w != ZERO:
                 if n != 0:
                     raise ValueError("scalar edge extracted with n > 0")
@@ -247,28 +249,43 @@ class Package:
             raise ValueError(f"edge has {self._vnodes[t][0] + 1} qubits, asked for {n}")
         val = self.weights.val
         nodes = self._vnodes
-        cache: dict[int, np.ndarray] = {}
+        first = np.full(len(nodes), -1, dtype=np.int64)  # offset of each node's first slice
 
-        def block(node: int) -> np.ndarray:
-            arr = cache.get(node)
-            if arr is None:
-                level, w0, t0, w1, t1 = nodes[node]
-                half = 1 << level
-                arr = np.zeros(2 * half, dtype=complex)
-                if w0 != ZERO:
-                    if t0:
-                        arr[:half] = val(w0) * block(t0)
-                    else:
-                        arr[0] = val(w0)
-                if w1 != ZERO:
-                    if t1:
-                        arr[half:] = val(w1) * block(t1)
-                    else:
-                        arr[half] = val(w1)
-                cache[node] = arr
-            return arr
+        def pivot(node: int) -> int:
+            idx = 0
+            while node:
+                level, w0, t0, _, t1 = nodes[node]
+                if w0 == ONE:
+                    node = t0
+                else:
+                    idx += 1 << level
+                    node = t1
+            return idx
 
-        return val(w) * block(t)
+        def fill(node: int, off: int, f: complex):
+            level, w0, t0, w1, t1 = nodes[node]
+            size = 2 << level
+            src = first[node]
+            if src >= 0:
+                g = out[src + pivot(node)]
+                if g != 0:
+                    np.multiply(out[src : src + size], f / g, out=out[off : off + size])
+                    return
+            first[node] = off
+            half = 1 << level
+            if w0 != ZERO:
+                if t0:
+                    fill(t0, off, f * val(w0))
+                else:
+                    out[off] = f * val(w0)
+            if w1 != ZERO:
+                if t1:
+                    fill(t1, off + half, f * val(w1))
+                else:
+                    out[off + half] = f * val(w1)
+
+        fill(t, 0, val(w))
+        return out
 
     def reachable(self, roots: Iterable[Edge], matrix: bool = False) -> set[int]:
         """Ids of the nodes reachable from ``roots`` (terminal excluded);
@@ -482,12 +499,22 @@ class Package:
 
     def matrix_dd(self, n: int, qubits: tuple[int, ...], base: np.ndarray) -> Edge:
         """Matrix diagram of ``base`` acting on the listed qubits (first listed
-        = most significant matrix bit), identity on all other qubits."""
+        = most significant matrix bit), identity on all other qubits.
+
+        Memoized by content, under ``(n, qubits, matrix bytes)``, for the
+        package's lifetime: a package reused across blocks, paths or circuits
+        builds each distinct operator once and can never return a stale one.
+        """
         m = len(qubits)
+        base = np.asarray(base, dtype=complex)
         if base.shape != (1 << m, 1 << m):
             raise ValueError(f"operator shape {base.shape} does not match {m} qubit(s)")
         if any(q < 0 or q >= n for q in qubits):
             raise ValueError(f"operand {qubits} out of range for n={n}")
+        key = (n, tuple(qubits), base.tobytes())
+        e = self._memo_op.get(key)
+        if e is not None:
+            return e
         order = sorted(range(m), key=lambda i: -qubits[i])
         if order != list(range(m)):
             t = base.reshape((2,) * (2 * m))
@@ -511,7 +538,8 @@ class Package:
             e = build(level - 1, k, mat)
             return self.make_matrix_node(level, (e, ZERO_EDGE, ZERO_EDGE, e))
 
-        return build(n - 1, 0, base)
+        e = self._memo_op[key] = build(n - 1, 0, base)
+        return e
 
     def identity_dd(self, n: int) -> Edge:
         return self.matrix_dd(n, (), np.ones((1, 1), dtype=complex))
@@ -519,32 +547,25 @@ class Package:
     # ------------------------------------------------------------------
     # garbage collection
 
-    def gc(self, vector_roots: Iterable[Edge] = (), matrix_roots: Iterable[Edge] = ()) -> int:
-        """Mark-and-sweep from the given roots.
+    def gc(self, roots: Iterable[Edge] = ()) -> int:
+        """Mark-and-sweep of the vector space from the given roots.
 
-        Everything unreachable is reclaimed, the compute tables are dropped
-        (operand ids may be reused), and weight-table entries no longer
-        referenced by live nodes are released.  Reachable diagrams are
-        untouched: their edges stay valid and mean the same vectors.
+        Every unreachable vector node is reclaimed, the compute tables are
+        dropped (operand ids may be reused), and weight-table entries no
+        longer referenced by live nodes are released.  Reachable diagrams are
+        untouched: their edges stay valid and mean the same vectors.  The
+        matrix space is never swept: its roots are the memoized operator
+        diagrams of :meth:`matrix_dd`, which live as long as the package.
         """
-        vector_roots = list(vector_roots)
-        matrix_roots = list(matrix_roots)
-        live_v = self.reachable(vector_roots)
-        live_m = self.reachable(matrix_roots, matrix=True)
+        roots = list(roots)
+        live = self.reachable(roots)
         reclaimed = 0
         for node in range(1, len(self._vnodes)):
             entry = self._vnodes[node]
-            if entry is not None and node not in live_v:
+            if entry is not None and node not in live:
                 del self._vtable[entry]
                 self._vnodes[node] = None
                 self._vfree.append(node)
-                reclaimed += 1
-        for node in range(1, len(self._mnodes)):
-            entry = self._mnodes[node]
-            if entry is not None and node not in live_m:
-                del self._mtable[entry]
-                self._mnodes[node] = None
-                self._mfree.append(node)
                 reclaimed += 1
         self._memo_add.clear()
         self._memo_mul.clear()
@@ -555,19 +576,23 @@ class Package:
             live_w.add(entry[3])
         for entry in self._mtable:
             live_w.update(entry[1::2])
-        for w, _ in vector_roots:
+        for w, _ in roots:
             live_w.add(w)
-        for w, _ in matrix_roots:
+        for w, _ in self._memo_op.values():
             live_w.add(w)
         self.weights.gc(live_w)
         self.gc_runs += 1
         return reclaimed
 
-    def maybe_gc(self, vector_roots: Iterable[Edge] = (), matrix_roots: Iterable[Edge] = ()) -> int:
-        """Run :meth:`gc` when tables have outgrown ``gc_limit``."""
-        pressure = self.live_nodes() + len(self._memo_add) + len(self._memo_mul)
+    def maybe_gc(self, roots: Iterable[Edge] = ()) -> int:
+        """Run :meth:`gc` when the nodes and every cache together have
+        outgrown ``gc_limit``."""
+        pressure = (
+            self.live_nodes() + len(self._memo_add) + len(self._memo_mul)
+            + len(self._memo_ip) + self.weights.cached()
+        )
         if pressure > self.gc_limit:
-            return self.gc(vector_roots, matrix_roots)
+            return self.gc(roots)
         return 0
 
     # ------------------------------------------------------------------

@@ -8,11 +8,16 @@ is split over the operator basis of its upper-block operand,
 
 and becomes a decision point; choosing one term per decision yields one
 path, and the full state is the sum over all paths.  Each path simulates
-the two blocks independently (private diagram packages, no shared state);
-the path's summand is the tensor product of the two block states.
+the two blocks independently (one diagram package per block, no shared
+state);
+the path's summand is the tensor product of the two block states.  Each
+block is folded by :func:`qcdd.schrodinger.apply_ops`, the reference
+engine's own gate loop.
 
 Both modes run one driver, ``_run_paths``, which hands each path's two block
-states to a "summer" that forms and adds the tensor product.
+states to a "summer" that forms and adds the tensor product.  Each worker
+keeps one package per block for all of its paths, so the operator diagrams
+and compute tables stay warm from one path to the next.
 ``run_hybrid_amp`` extracts the two block arrays and adds their outer
 product into a dense accumulator (``_AmpSum``); ``run_hybrid_dd`` splices
 the two block diagrams into one diagram inside the run's package and adds
@@ -39,7 +44,7 @@ import numpy as np
 
 from .circuit import CapacityError, Circuit, Gate
 from .dd import Edge, Package
-from .schrodinger import build_gate_dd
+from .schrodinger import apply_ops
 
 
 class TopologyError(Exception):
@@ -78,9 +83,9 @@ class Classification:
     """Gate indices per block plus the decision points, in circuit order.
 
     ``lower_ops``/``upper_ops`` are each block's op sequence in circuit
-    order, in block-local qubits: ``("g", gate)`` or ``("d", decision number,
-    qubit, factors)``, where ``factors[d]`` is the block's 2x2 factor of
-    term ``d``.
+    order, in block-local qubits: ``(qubits, matrix, None)`` for a gate, or
+    ``((qubit,), factors, j)`` for decision ``j``, where ``factors[d]`` is
+    the block's 2x2 factor of term ``d``.
     """
 
     lower: list[int]
@@ -149,17 +154,14 @@ def classify(circuit: Circuit, partition: Partition) -> Classification:
             dp = schmidt_terms(g, partition, i)
             j = len(decisions)
             decisions.append(dp)
-            upper_ops.append(("d", j, dp.upper_qubit - k, tuple(t[0] for t in dp.terms)))
-            lower_ops.append(("d", j, dp.lower_qubit, tuple(t[1] for t in dp.terms)))
+            upper_ops.append(((dp.upper_qubit - k,), tuple(t[0] for t in dp.terms), j))
+            lower_ops.append(((dp.lower_qubit,), tuple(t[1] for t in dp.terms), j))
         elif lo:
             lower.append(i)
-            lower_ops.append(("g", g))
+            lower_ops.append((qs, g.operator(), None))
         else:
             upper.append(i)
-            shifted = Gate(
-                g.kind, g.params, tuple(q - k for q in g.controls), tuple(q - k for q in g.targets)
-            )
-            upper_ops.append(("g", shifted))
+            upper_ops.append((tuple(q - k for q in qs), g.operator(), None))
     return Classification(lower, upper, decisions, lower_ops, upper_ops)
 
 
@@ -175,36 +177,6 @@ def path_digits(decisions: list[DecisionPoint], index: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _simulate_block(
-    ops: list[tuple], n_block: int, digits: tuple[int, ...], pkg: Package, check_norm: bool
-) -> Edge:
-    state = pkg.make_basis_state(n_block, "0" * n_block)
-    gate_cache: dict[Gate, Edge] = {}
-    # decision factors are projector-like and shrink the norm, so unitary
-    # gates are checked for norm *preservation* rather than norm one
-    expected_norm = 1.0
-    for op in ops:
-        if op[0] == "g":
-            g = op[1]
-            gdd = gate_cache.get(g)
-            if gdd is None:
-                gdd = build_gate_dd(g, n_block, pkg)
-                gate_cache[g] = gdd
-            state = pkg.multiply(gdd, state)
-            if check_norm:
-                nrm = pkg.norm(state)
-                if abs(nrm - expected_norm) > 1e-10:
-                    raise AssertionError(
-                        f"block norm {nrm!r} != {expected_norm!r} after {g.kind}"
-                    )
-        else:
-            _, j, q, factors = op
-            state = pkg.multiply(pkg.matrix_dd(n_block, (q,), factors[digits[j]]), state)
-            if check_norm:
-                expected_norm = pkg.norm(state)
-    return state
-
-
 def simulate_path(
     circuit: Circuit,
     partition: Partition,
@@ -215,7 +187,12 @@ def simulate_path(
     check_norm: bool = False,
 ) -> tuple[Edge, Edge]:
     """Simulate both blocks for one path; results live in the given (disjoint)
-    packages.  ``path`` holds one digit per decision point."""
+    packages.  ``path`` holds one digit per decision point.  Each package
+    may collect garbage during its fold, with its own block state as the
+    only root, so a block state from an earlier call must not be needed
+    after this one."""
+    if pkg_upper is pkg_lower:
+        raise ValueError("the two blocks need two different packages")
     if cls is None:
         cls = classify(circuit, partition)
     if len(path) != len(cls.decisions):
@@ -224,9 +201,15 @@ def simulate_path(
         if not 0 <= d < len(dp.terms):
             raise ValueError(f"digit {d} out of range for decision at gate {dp.gate_index}")
     k = partition.cut
-    upper = _simulate_block(cls.upper_ops, circuit.n - k, path, pkg_upper, check_norm)
-    lower = _simulate_block(cls.lower_ops, k, path, pkg_lower, check_norm)
+    upper = apply_ops(pkg_upper, circuit.n - k, _path_ops(cls.upper_ops, path), check_norm)
+    lower = apply_ops(pkg_lower, k, _path_ops(cls.lower_ops, path), check_norm)
     return upper, lower
+
+
+def _path_ops(block_ops: list[tuple], path: tuple[int, ...]):
+    """A block's ``(qubits, matrix, unitary)`` ops on one path: each decision
+    contributes the factor its digit selects."""
+    return ((qs, m if j is None else m[path[j]], j is None) for qs, m, j in block_ops)
 
 
 @dataclass
@@ -357,21 +340,19 @@ class _DDSum:
 
 def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
     """Worker ``w`` of ``workers``: simulate paths ``w, w + workers, ...``
-    and fold each into ``summer``.  Returns the stage times and the largest
-    per-path node count."""
+    in one package per block and fold each into ``summer``.  Returns the
+    stage times and the two block packages' peak node counts added."""
     summer.as_worker(w)
     times = dict.fromkeys(_STAGES, 0.0)
-    max_nodes = 0
+    up = Package(summer.tol, extract_cap=summer.amp_cap)
+    lo = Package(summer.tol, extract_cap=summer.amp_cap)
     for i in range(w, cls.path_count, workers):
         digits = path_digits(cls.decisions, i)
-        up = Package(summer.tol, extract_cap=summer.amp_cap)
-        lo = Package(summer.tol, extract_cap=summer.amp_cap)
         t0 = time.perf_counter()
         ue, le = simulate_path(circuit, partition, digits, up, lo, cls, check_norm)
         times["simulate"] += time.perf_counter() - t0
         summer.add_path(up, ue, lo, le, times)
-        max_nodes = max(max_nodes, up.peak_nodes + lo.peak_nodes)
-    return times, max_nodes
+    return times, up.peak_nodes + lo.peak_nodes
 
 
 def _worker(circuit, partition, cls, w, workers, check_norm, summer, conn):

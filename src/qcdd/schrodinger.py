@@ -1,11 +1,11 @@
 """Baseline full-state simulation: fold every gate's matrix diagram into the
 state diagram, one multiplication per gate.  This is the reference engine the
-cutting engines are checked against."""
+cutting engines are checked against, and its fold, :func:`apply_ops`, is the
+one the cutting engines run on each block."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from typing import Iterable
 
 from .circuit import Circuit, Gate
 from .dd import Edge, Package
@@ -19,53 +19,34 @@ def build_gate_dd(gate: Gate, n: int, pkg: Package) -> Edge:
     return pkg.matrix_dd(n, gate.qubits, gate.operator())
 
 
-@dataclass
-class SimStats:
-    gates: int = 0
-    wall_time: float = 0.0
-    max_nodes: int = 0
-    final_nodes: int = 0
-    per_gate_nodes: list[int] = field(default_factory=list)
+def apply_ops(pkg: Package, n: int, ops: Iterable[tuple], check_norm: bool = False) -> Edge:
+    """Fold ``(qubits, matrix, unitary)`` ops into |0...0> on ``n`` qubits.
+
+    The package may collect garbage after every op, with the state as its
+    only vector root.  ``check_norm`` asserts that every unitary op keeps
+    the norm; a non-unitary op (a decision factor, which projects) sets the
+    norm the following ops must keep.
+    """
+    state = pkg.make_basis_state(n, "0" * n)
+    expected = 1.0
+    for i, (qubits, matrix, unitary) in enumerate(ops):
+        state = pkg.multiply(pkg.matrix_dd(n, qubits, matrix), state)
+        if check_norm:
+            nrm = pkg.norm(state)
+            if not unitary:
+                expected = nrm
+            elif abs(nrm - expected) > 1e-10:
+                raise AssertionError(f"norm {nrm!r} != {expected!r} after op {i} on {qubits}")
+        pkg.maybe_gc([state])
+    return state
 
 
-def simulate(
-    circuit: Circuit,
-    pkg: Package,
-    *,
-    check_norm: bool = False,
-    stats: SimStats | None = None,
-    verbose: bool = False,
-) -> Edge:
+def simulate(circuit: Circuit, pkg: Package, *, check_norm: bool = False) -> Edge:
     """Run ``circuit`` from |0...0> and return the final state edge.
 
     ``check_norm`` asserts the state stays normalized after every gate (all
     circuit gates are unitary).  Garbage collection kicks in automatically
     when the package outgrows its node limit.
     """
-    t0 = time.perf_counter()
-    n = circuit.n
-    state = pkg.make_basis_state(n, "0" * n)
-    gate_cache: dict[Gate, Edge] = {}
-    for i, gate in enumerate(circuit.gates):
-        gdd = gate_cache.get(gate)
-        if gdd is None:
-            gdd = build_gate_dd(gate, n, pkg)
-            gate_cache[gate] = gdd
-        state = pkg.multiply(gdd, state)
-        if check_norm:
-            nrm = pkg.norm(state)
-            if abs(nrm - 1.0) > 1e-10:
-                raise AssertionError(f"norm drifted to {nrm!r} after gate {i} ({gate.kind})")
-        if stats is not None or verbose:
-            count = pkg.count_nodes(state)
-            if verbose:
-                print(f"gate {i:4d} {gate.kind:>4s} -> {count} nodes")
-            if stats is not None:
-                stats.per_gate_nodes.append(count)
-        pkg.maybe_gc([state], gate_cache.values())
-    if stats is not None:
-        stats.gates = len(circuit.gates)
-        stats.wall_time = time.perf_counter() - t0
-        stats.max_nodes = pkg.peak_nodes
-        stats.final_nodes = pkg.count_nodes(state)
-    return state
+    ops = ((g.qubits, g.operator(), True) for g in circuit.gates)
+    return apply_ops(pkg, circuit.n, ops, check_norm)

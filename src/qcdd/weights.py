@@ -146,6 +146,10 @@ class ComplexTable:
             return a
         return self.lookup(v.conjugate())
 
+    def cached(self) -> int:
+        """Entries in the arithmetic result caches (dropped by :meth:`gc`)."""
+        return len(self._mul_cache) + len(self._div_cache) + len(self._add_cache)
+
     def gc(self, live: set[int]) -> int:
         """Drop all entries outside ``live`` (reserved handles always stay)."""
         keep = {ZERO, ONE}

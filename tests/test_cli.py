@@ -88,6 +88,17 @@ def test_run_stats_json(tmp_path, fig4_qasm, capsys):
     assert rec["path_count"] == 4 and rec["decisions"] == 2
 
 
+def test_run_stats_json_schrodinger(tmp_path, fig4_qasm, capsys):
+    path = write_fig(tmp_path, fig4_qasm)
+    rc = main(["run", path, "--mode", "schrodinger", "--stats"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    rec = json.loads(out.strip().splitlines()[-1])
+    assert rec["mode"] == "schrodinger"
+    assert rec["gates"] == 6 and rec["final_nodes"] == 9
+    assert rec["max_nodes"] >= 9
+
+
 def test_run_out_file(tmp_path, fig4_qasm, capsys):
     path = write_fig(tmp_path, fig4_qasm)
     out_file = tmp_path / "amps.txt"

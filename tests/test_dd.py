@@ -109,6 +109,21 @@ def test_normalized_weights_bounded():
                 assert abs(pkg.weights.val(w)) <= 1 + 1e-12
 
 
+def test_normalize_near_tie_is_one_node():
+    # |z| == 0.9999999999999999: magnitudes within tol tie, and the left wins,
+    # so [z, 1] and [1, 1/z] (equal up to the factor z) share one node
+    pkg = Package()
+    z = 0.7071067811865475 * (1 + 1j)
+    assert abs(z) < 1.0
+    hz, hinv = pkg.weights.lookup(z), pkg.weights.lookup(1 / z)
+    a = pkg.make_vector_node(0, (hz, 0), ONE_EDGE)
+    b = pkg.make_vector_node(0, ONE_EDGE, (hinv, 0))
+    assert a[1] == b[1]
+    ma = pkg.make_matrix_node(0, [(hz, 0), ONE_EDGE, ZERO_EDGE, ZERO_EDGE])
+    mb = pkg.make_matrix_node(0, [ONE_EDGE, (hinv, 0), ZERO_EDGE, ZERO_EDGE])
+    assert ma[1] == mb[1]
+
+
 def test_matrix_node_zero_collapses():
     pkg = Package()
     assert pkg.make_matrix_node(0, [ZERO_EDGE] * 4) == ZERO_EDGE
@@ -167,6 +182,34 @@ def test_extract_capacity_error():
     e = pkg.make_basis_state(5, "00000")
     with pytest.raises(CapacityError):
         pkg.extract_statevector(e)
+
+
+def test_extract_peak_memory_is_one_output():
+    import tracemalloc
+
+    rng = np.random.default_rng(21)
+    pkg = Package()
+    vec = rand_vec(rng, 12)
+    e = pkg.from_statevector(vec)
+    tracemalloc.start()
+    try:
+        out = pkg.extract_statevector(e, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(out - vec).max() < 1e-10
+    assert peak < 2 * out.nbytes
+
+
+def test_extract_refills_a_shared_node_first_reached_with_factor_zero():
+    # 1e-200 * 1e-200 underflows to 0, so the first fill of the shared level-0
+    # node writes zeros; its second visit must refill, not rescale by x / 0
+    pkg = Package(tol=1e-300)
+    tiny = pkg.weights.lookup(1e-200)
+    leaf = pkg.make_vector_node(0, ONE_EDGE, (pkg.weights.lookup(0.5), 0))
+    node = pkg.make_vector_node(1, (tiny, leaf[1]), (ONE, leaf[1]))
+    v = pkg.extract_statevector((tiny, node[1]), 2)
+    assert np.array_equal(v, np.array([0, 0, 1e-200, 0.5e-200], dtype=complex))
 
 
 def test_extract_zero_edge():
@@ -448,6 +491,22 @@ def test_gc_then_rebuild_reuses_ids():
     pkg.gc()
     e = pkg.from_statevector(vec)
     assert np.abs(pkg.extract_statevector(e, 4) - vec).max() < 1e-10
+
+
+def test_gc_keeps_operator_diagrams():
+    # operator diagrams are the matrix space's roots: gc without roots frees
+    # every vector node and no matrix node, and a copy of the matrix finds
+    # the memoized diagram by content
+    pkg = Package()
+    x_low = np.kron(np.eye(2), [[0, 1], [1, 0]])
+    op = pkg.matrix_dd(3, (2, 0), x_low.astype(complex))
+    pkg.multiply(op, pkg.make_basis_state(3, "000"))
+    matrix_nodes = len(pkg._mtable)
+    pkg.gc()
+    assert pkg.live_nodes() == matrix_nodes
+    assert pkg.matrix_dd(3, (2, 0), x_low) == op
+    v = pkg.extract_statevector(pkg.multiply(op, pkg.make_basis_state(3, "000")))
+    assert v[0b001] == 1 and np.count_nonzero(v) == 1
 
 
 # ---------------------------------------------------------------------------

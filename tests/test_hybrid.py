@@ -261,6 +261,42 @@ def test_simulate_path_validates_digits(fig4):
         simulate_path(fig4, p, (0, 5), Package(), Package())
 
 
+def test_simulate_path_needs_two_packages(fig4):
+    # one package for both blocks would let the lower fold's gc sweep the
+    # upper block's state
+    pkg = Package()
+    with pytest.raises(ValueError, match="two different packages"):
+        simulate_path(fig4, Partition(2), (0, 0), pkg, pkg)
+
+
+def test_block_packages_stay_bounded_over_1024_paths():
+    gates = [Gate("h", targets=(q,)) for q in range(4)]
+    for i in range(10):
+        gates.append(Gate("cz", controls=(i % 2,), targets=(2 + (i // 2) % 2,)))
+        gates.append(Gate("rx", (0.3 + 0.1 * i,), targets=(i % 4,)))
+        gates.append(Gate("t", targets=((i + 1) % 4,)))
+    c = Circuit(4, tuple(gates))
+    p = Partition(2)
+    cls = classify(c, p)
+    assert cls.path_count == 1024
+    limit = 100
+    up, lo = Package(gc_limit=limit), Package(gc_limit=limit)
+
+    def pressure(pkg):
+        return (pkg.live_nodes() + len(pkg._memo_add) + len(pkg._memo_mul)
+                + len(pkg._memo_ip) + pkg.weights.cached())
+
+    acc = np.zeros(16, dtype=complex)
+    for i in range(cls.path_count):
+        ue, le = simulate_path(c, p, path_digits(cls.decisions, i), up, lo, cls, check_norm=True)
+        for pkg in (up, lo):
+            assert pressure(pkg) <= limit
+            assert len(pkg.weights) <= limit
+        acc += np.kron(up.extract_statevector(ue, 2), lo.extract_statevector(le, 2))
+    assert up.gc_runs > 0 and lo.gc_runs > 0
+    assert np.abs(acc - dense_simulate(c)).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # whole-circuit engines
 
@@ -389,6 +425,16 @@ def test_dd_workers_canonical_equal():
     e1 = fresh.import_edge(r1.package, r1.state)
     e2 = fresh.import_edge(r2.package, r2.state)
     assert e1 == e2  # same canonical edge after re-canonicalization
+
+
+def test_dd_sum_is_maximally_shared():
+    # re-importing into a fresh package re-canonicalizes every node; a sum
+    # whose node normalization is canonical is already as small
+    c = generate_random_circuit(14, 8, 13, 0.7, "grid")
+    res = run_hybrid_dd(c, workers=1)
+    fresh = Package()
+    again = fresh.import_edge(res.package, res.state)
+    assert res.package.count_nodes(res.state) == fresh.count_nodes(again)
 
 
 def test_dd_takes_amp_cap_like_amp():

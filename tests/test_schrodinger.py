@@ -3,7 +3,7 @@ import pytest
 
 from qcdd.circuit import Circuit, Gate, apply_matrix, dense_simulate, generate_random_circuit
 from qcdd.dd import Package
-from qcdd.schrodinger import SimStats, build_gate_dd, simulate
+from qcdd.schrodinger import build_gate_dd, simulate
 from qcdd.weights import ZERO
 from conftest import FIG_STATE
 
@@ -75,12 +75,9 @@ def test_gate_dd_index_out_of_range():
 
 def test_simulate_reference_circuit(fig4):
     pkg = Package()
-    st = SimStats()
-    e = simulate(fig4, pkg, check_norm=True, stats=st)
+    e = simulate(fig4, pkg, check_norm=True)
     assert np.abs(pkg.extract_statevector(e) - FIG_STATE).max() < 1e-12
-    assert st.final_nodes == 9
-    assert st.gates == 6
-    assert max(st.per_gate_nodes) <= 9
+    assert pkg.count_nodes(e) == 9
 
 
 def test_simulate_empty_circuit():
@@ -125,10 +122,3 @@ def test_simulate_with_gc_pressure():
     v = pkg.extract_statevector(simulate(c, pkg))
     assert pkg.gc_runs > 0
     assert np.abs(v - dense_simulate(c)).max() < 1e-10
-
-
-def test_verbose_prints_node_counts(fig4, capsys):
-    pkg = Package()
-    simulate(fig4, pkg, verbose=True)
-    out = capsys.readouterr().out
-    assert out.count("nodes") == 6
