@@ -33,7 +33,7 @@ from .hybrid import (
     simulate_path,
 )
 from .qasm import QasmError, parse, to_qasm
-from .schrodinger import build_gate_dd, simulate
+from .schrodinger import simulate
 
 __all__ = [
     "CapacityError",
@@ -44,7 +44,6 @@ __all__ = [
     "Partition",
     "QasmError",
     "TopologyError",
-    "build_gate_dd",
     "classify",
     "default_partition",
     "dense_simulate",

@@ -24,6 +24,7 @@ from .hybrid import Partition, classify, default_partition, run_hybrid_amp, run_
 from .schrodinger import simulate
 
 COLUMNS = ["name", "decisions", "t_ref", "t_DD", "t_ref/t_DD", "t_amp", "t_ref/t_amp"]
+VERIFY_CAP = 20  # largest n whose engine outputs ``verify`` compares
 
 
 @dataclass
@@ -129,7 +130,6 @@ def run_bench(
     tol: float = 1e-13,
     modes: tuple[str, ...] = ("ref", "dd", "amp"),
     verify: bool = False,
-    verify_cap: int = 20,
 ) -> list[BenchRow]:
     """Generate one circuit per (n, depth, seed) and time the chosen engines."""
     workers = workers or os.cpu_count() or 1
@@ -140,7 +140,7 @@ def run_bench(
                 circuit = generate_random_circuit(n, depth, seed, density, pairing)
                 cut = default_partition(n).cut
                 decisions = len(classify(circuit, Partition(cut)).decisions)
-                want_vec = verify and n <= verify_cap
+                want_vec = verify and n <= VERIFY_CAP
                 times: dict[str, float | None] = {"ref": None, "dd": None, "amp": None}
                 vecs: dict[str, np.ndarray | None] = {}
                 for mode in modes:

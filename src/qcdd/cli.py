@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--amp-cap", type=int, default=30,
                        help="max qubits for dense extraction / amplitude accumulators")
         p.add_argument("--dense-cap", type=int, default=14, help="max qubits for the dense oracle")
-        p.add_argument("--config", help="key=value file with defaults for these flags")
+        p.add_argument("--config", help="key=value file of defaults; command-line flags win")
 
     run_p = sub.add_parser("run", help="simulate with one engine")
     add_circuit_args(run_p)
@@ -283,24 +283,23 @@ def _cmd_bench(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        # inject config entries as flags unless given explicitly on the line
-        try:
-            cfg = _load_config(argv[argv.index("--config") + 1])
-        except (IndexError, OSError, ValueError) as exc:
-            print(f"error: bad --config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        for key, val in cfg.items():
-            flag = "--" + key.replace("_", "-")
-            if flag in argv:
-                continue
-            if val.lower() in ("true", "false"):
-                if val.lower() == "true":
-                    argv.append(flag)
-            else:
-                argv.extend([flag, val])
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's entries go first, so a flag given on the line wins
+            try:
+                cfg = _load_config(args.config)
+            except (OSError, ValueError) as exc:
+                print(f"error: bad --config: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            flags = []
+            for key, val in cfg.items():
+                flag = "--" + key.replace("_", "-")
+                if val.lower() == "true":
+                    flags.append(flag)
+                elif val.lower() != "false":
+                    flags.extend([flag, val])
+            args = parser.parse_args([argv[0], *flags, *argv[1:]])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

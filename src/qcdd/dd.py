@@ -58,7 +58,6 @@ class Package:
         # compute tables, dropped wholesale on gc
         self._memo_add: dict = {}
         self._memo_mul: dict = {}
-        self._memo_ip: dict = {}
         self.peak_nodes = 0
         self.gc_runs = 0
 
@@ -287,10 +286,9 @@ class Package:
         fill(t, 0, val(w))
         return out
 
-    def reachable(self, roots: Iterable[Edge], matrix: bool = False) -> set[int]:
-        """Ids of the nodes reachable from ``roots`` (terminal excluded);
-        ``matrix`` selects the matrix node space."""
-        nodes = self._mnodes if matrix else self._vnodes
+    def reachable(self, roots: Iterable[Edge]) -> set[int]:
+        """Ids of the vector nodes reachable from ``roots`` (terminal excluded)."""
+        nodes = self._vnodes
         seen = {0}
         stack = [t for _, t in roots]
         while stack:
@@ -304,9 +302,6 @@ class Package:
     def count_nodes(self, e: Edge) -> int:
         """Distinct nodes reachable from ``e`` (terminal excluded)."""
         return len(self.reachable([e]))
-
-    def count_matrix_nodes(self, e: Edge) -> int:
-        return len(self.reachable([e], matrix=True))
 
     def norm(self, e: Edge) -> float:
         """L2 norm of the represented vector, one O(nodes) pass."""
@@ -419,32 +414,6 @@ class Package:
             self._memo_mul[key] = res
         return self._scale(res, w)
 
-    def inner_product(self, a: Edge, b: Edge) -> complex:
-        """<a|b> by simultaneous traversal (left side conjugated)."""
-        self._check_same_qubits(a, b)
-        return self._ip(a, b)
-
-    def _ip(self, a: Edge, b: Edge) -> complex:
-        wa, ta = a
-        wb, tb = b
-        if wa == ZERO or wb == ZERO:
-            return 0j
-        f = self.weights.val(wa).conjugate() * self.weights.val(wb)
-        if ta == 0 and tb == 0:
-            return f
-        if ta == 0 or tb == 0:
-            raise ValueError("inner product of vectors with different qubit counts")
-        key = (ta, tb)
-        s = self._memo_ip.get(key)
-        if s is None:
-            la, a0w, a0t, a1w, a1t = self._vnodes[ta]
-            lb, b0w, b0t, b1w, b1t = self._vnodes[tb]
-            if la != lb:
-                raise ValueError("inner product of vectors with different qubit counts")
-            s = self._ip((a0w, a0t), (b0w, b0t)) + self._ip((a1w, a1t), (b1w, b1t))
-            self._memo_ip[key] = s
-        return f * s
-
     def import_edge(self, src: "Package", e: Edge, shift: int = 0, splice: Edge | None = None) -> Edge:
         """Copy a vector diagram from ``src`` into this package.
 
@@ -456,13 +425,12 @@ class Package:
         """
         if splice is None:
             splice = ONE_EDGE
-        same = src is self
         lookup = self.weights.lookup
         sval = src.weights.val
         memo: dict[int, Edge] = {}
 
         def conv(w: int) -> int:
-            if same or w == ZERO or w == ONE:
+            if w == ZERO or w == ONE:
                 return w
             return lookup(sval(w))
 
@@ -482,17 +450,6 @@ class Package:
             return self._scale(cached, conv(w))
 
         return rec(e)
-
-    def kron(self, upper: Edge, lower: Edge) -> Edge:
-        """Tensor product with ``lower`` occupying the low qubits.
-
-        Realized by hanging ``lower``'s root beneath ``upper``'s terminal
-        positions; the root weight becomes the product of both root weights.
-        """
-        if upper[0] == ZERO or lower[0] == ZERO:
-            return ZERO_EDGE
-        shift = 0 if lower[1] == 0 else self._vnodes[lower[1]][0] + 1
-        return self.import_edge(self, upper, shift=shift, splice=lower)
 
     # ------------------------------------------------------------------
     # gate operators
@@ -541,9 +498,6 @@ class Package:
         e = self._memo_op[key] = build(n - 1, 0, base)
         return e
 
-    def identity_dd(self, n: int) -> Edge:
-        return self.matrix_dd(n, (), np.ones((1, 1), dtype=complex))
-
     # ------------------------------------------------------------------
     # garbage collection
 
@@ -569,7 +523,6 @@ class Package:
                 reclaimed += 1
         self._memo_add.clear()
         self._memo_mul.clear()
-        self._memo_ip.clear()
         live_w: set[int] = set()
         for entry in self._vtable:
             live_w.add(entry[1])
@@ -589,30 +542,8 @@ class Package:
         outgrown ``gc_limit``."""
         pressure = (
             self.live_nodes() + len(self._memo_add) + len(self._memo_mul)
-            + len(self._memo_ip) + self.weights.cached()
+            + self.weights.cached()
         )
         if pressure > self.gc_limit:
             return self.gc(roots)
         return 0
-
-    # ------------------------------------------------------------------
-    # debug export
-
-    def dump(self, e: Edge, matrix: bool = False) -> str:
-        """Plain-text dump: a root line, then one node per line
-        ``id level succ_id weight_re,weight_im ...`` (succ pairs in order).
-        """
-        val = self.weights.val
-        kind = "matrix" if matrix else "vector"
-        root_w = val(e[0])
-        lines = [f"# {kind}-dd root_node={e[1]} root_weight={root_w.real!r},{root_w.imag!r}"]
-        nodes = self._mnodes if matrix else self._vnodes
-        for t in sorted(self.reachable([e], matrix)):
-            entry = nodes[t]
-            parts = [str(t), str(entry[0])]
-            succs = entry[1:]
-            for i in range(0, len(succs), 2):
-                w = val(succs[i])
-                parts.append(f"{succs[i + 1]} {w.real!r},{w.imag!r}")
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ Supported statements (one per ``;``, ``//`` comments allowed anywhere):
 
 Measurement, classical registers, conditionals, gate definitions, opaque
 declarations, and register broadcasts (``h q;``) are rejected.  Angle
-expressions may use numbers, ``pi``, ``+ - * /`` and parentheses.
+expressions may use numbers, ``pi``, ``+ - * /`` and parentheses; division
+by zero and non-finite values are rejected.
 """
 
 from __future__ import annotations
@@ -136,9 +137,12 @@ def _eval_angle(text: str, line: int) -> float:
         if tok == "pi":
             return math.pi
         try:
-            return float(tok)
+            v = float(tok)
         except ValueError:
             raise QasmError(f"bad angle token {tok!r} in {text!r}", line) from None
+        if not math.isfinite(v):
+            raise QasmError(f"angle literal {tok!r} overflows in {text!r}", line)
+        return v
 
     def term() -> float:
         v = atom()
@@ -146,7 +150,10 @@ def _eval_angle(text: str, line: int) -> float:
             if take() == "*":
                 v *= atom()
             else:
-                v /= atom()
+                d = atom()
+                if d == 0:
+                    raise QasmError(f"division by zero in angle expression {text!r}", line)
+                v /= d
         return v
 
     def expr() -> float:
@@ -161,6 +168,8 @@ def _eval_angle(text: str, line: int) -> float:
     v = expr()
     if pos != len(tokens):
         raise QasmError(f"trailing tokens in angle expression {text!r}", line)
+    if not math.isfinite(v):
+        raise QasmError(f"angle expression {text!r} is not finite", line)
     return v
 
 

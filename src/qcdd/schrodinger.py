@@ -7,16 +7,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit
 from .dd import Edge, Package
-
-
-def build_gate_dd(gate: Gate, n: int, pkg: Package) -> Edge:
-    """Matrix diagram of ``gate`` padded with identities to ``n`` qubits."""
-    bad = [q for q in gate.qubits if q >= n]
-    if bad:
-        raise ValueError(f"gate {gate.kind} uses qubit {bad[0]} >= n={n}")
-    return pkg.matrix_dd(n, gate.qubits, gate.operator())
 
 
 def apply_ops(pkg: Package, n: int, ops: Iterable[tuple], check_norm: bool = False) -> Edge:

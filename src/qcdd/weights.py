@@ -135,17 +135,6 @@ class ComplexTable:
             self._div_cache[key] = r
         return r
 
-    def neg(self, a: int) -> int:
-        if a == ZERO:
-            return ZERO
-        return self.lookup(-self._vals[a])
-
-    def conj(self, a: int) -> int:
-        v = self._vals[a]
-        if v.imag == 0.0:
-            return a
-        return self.lookup(v.conjugate())
-
     def cached(self) -> int:
         """Entries in the arithmetic result caches (dropped by :meth:`gc`)."""
         return len(self._mul_cache) + len(self._div_cache) + len(self._add_cache)

@@ -178,6 +178,58 @@ def test_config_file(tmp_path, fig4_qasm, capsys):
     assert rec["mode"] == "hybrid-amp" and rec["workers"] == 1
 
 
+@pytest.mark.parametrize("flag", [["--config={cfg}"], ["--conf", "{cfg}"]])
+def test_config_file_flag_forms(tmp_path, fig4_qasm, capsys, flag):
+    # the path is read from the parsed arguments, so every form argparse
+    # accepts loads the file
+    path = write_fig(tmp_path, fig4_qasm)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode=hybrid-amp\nworkers=1\nstats=true\n")
+    rc = main(["run", path, *(f.format(cfg=cfg) for f in flag)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    rec = json.loads(out.strip().splitlines()[-1])
+    assert rec["mode"] == "hybrid-amp" and rec["workers"] == 1
+
+
+@pytest.mark.parametrize("explicit", [["--amp-cap=10"], ["--amp-cap", "10"], ["--amp-c", "10"]])
+def test_config_file_is_overridden_by_explicit_flags(tmp_path, fig4_qasm, capsys, explicit):
+    path = write_fig(tmp_path, fig4_qasm)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("amp-cap = 3\nmode = hybrid-amp\nworkers = 1\n")
+    assert main(["run", path, "--config", str(cfg), "--amplitudes", "all"]) == 3
+    capsys.readouterr()
+    rc = main(["run", path, "--config", str(cfg), *explicit, "--amplitudes", "all"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert np.abs(np.array(list(amp_lines(out).values())) - FIG_STATE).max() < 1e-12
+
+
+def test_config_file_false_leaves_switch_off(tmp_path, fig4_qasm, capsys):
+    path = write_fig(tmp_path, fig4_qasm)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("stats = false\n")
+    assert main(["run", path, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_config_file(tmp_path, fig4_qasm, capsys):
+    path = write_fig(tmp_path, fig4_qasm)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no equals sign\n")
+    assert main(["run", path, "--config", str(cfg)]) == 2
+    assert main(["run", path, "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert "bad --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["1/0", "1e400"])
+def test_run_bad_angle_is_parse_error(tmp_path, capsys, expr):
+    path = tmp_path / "bad.qasm"
+    path.write_text(f"qreg q[1];\nrx({expr}) q[0];\n")
+    assert main(["run", str(path)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_verify_reference(tmp_path, fig4_qasm, capsys):
     path = write_fig(tmp_path, fig4_qasm)
     rc = main(["verify", path])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qcdd.circuit import CapacityError, apply_matrix, dense_simulate, generate_random_circuit
 from qcdd.dd import ONE_EDGE, ZERO_EDGE, Package
-from qcdd.schrodinger import build_gate_dd, simulate
+from qcdd.schrodinger import simulate
 from qcdd.weights import ONE, ZERO
 from conftest import FIG_STATE
 
@@ -218,7 +218,7 @@ def test_extract_zero_edge():
 
 
 # ---------------------------------------------------------------------------
-# add / multiply / kron / inner product
+# add / multiply / Kronecker product (import_edge with shift and splice)
 
 
 def test_add_zero_is_identity():
@@ -260,7 +260,7 @@ def test_multiply_identity_is_noop():
     rng = np.random.default_rng(3)
     pkg = Package()
     v = pkg.from_statevector(rand_vec(rng, 4))
-    assert pkg.multiply(pkg.identity_dd(4), v) == v
+    assert pkg.multiply(pkg.matrix_dd(4, (), np.ones((1, 1))), v) == v
 
 
 def test_multiply_matches_dense_oracle():
@@ -272,14 +272,14 @@ def test_multiply_matches_dense_oracle():
         vec /= np.linalg.norm(vec)
         e = pkg.from_statevector(vec)
         for g in c.gates:
-            e = pkg.multiply(build_gate_dd(g, 5, pkg), e)
+            e = pkg.multiply(pkg.matrix_dd(5, g.qubits, g.operator()), e)
             vec = apply_matrix(vec, g.operator(), g.qubits, 5)
         assert np.abs(pkg.extract_statevector(e, 5) - vec).max() < 1e-10
 
 
 def test_multiply_qubit_mismatch():
     pkg = Package()
-    m = pkg.identity_dd(3)
+    m = pkg.matrix_dd(3, (), np.ones((1, 1)))
     v = pkg.make_basis_state(4, "0000")
     with pytest.raises(ValueError):
         pkg.multiply(m, v)
@@ -289,7 +289,7 @@ def test_kron_with_scalar_one_is_identity():
     rng = np.random.default_rng(5)
     pkg = Package()
     v = pkg.from_statevector(rand_vec(rng, 3))
-    assert pkg.kron(v, ONE_EDGE) == v
+    assert pkg.import_edge(pkg, v, shift=0, splice=ONE_EDGE) == v
 
 
 def test_kron_matches_numpy():
@@ -298,7 +298,7 @@ def test_kron_matches_numpy():
     for _ in range(5):
         a = rand_vec(rng, 3, sparsity=0.8)
         b = rand_vec(rng, 3, sparsity=0.8)
-        k = pkg.kron(pkg.from_statevector(a), pkg.from_statevector(b))
+        k = pkg.import_edge(pkg, pkg.from_statevector(a), shift=3, splice=pkg.from_statevector(b))
         assert np.abs(pkg.extract_statevector(k, 6) - np.kron(a, b)).max() < 1e-10
 
 
@@ -306,31 +306,8 @@ def test_kron_root_weight_is_product():
     pkg = Package()
     a = pkg.from_statevector(np.array([0.5, 0.5]))
     b = pkg.from_statevector(np.array([0.25, 0.25]))
-    k = pkg.kron(a, b)
+    k = pkg.import_edge(pkg, a, shift=1, splice=b)
     assert abs(pkg.weights.val(k[0]) - pkg.weights.val(a[0]) * pkg.weights.val(b[0])) < 1e-13
-
-
-def test_inner_product_normalized_state(fig4):
-    pkg = Package()
-    e = simulate(fig4, pkg)
-    assert abs(pkg.inner_product(e, e) - 1) < 1e-12
-
-
-def test_inner_product_orthogonal():
-    pkg = Package()
-    a = pkg.make_basis_state(2, "00")
-    b = pkg.make_basis_state(2, "11")
-    assert pkg.inner_product(a, b) == 0
-
-
-def test_inner_product_matches_numpy():
-    rng = np.random.default_rng(7)
-    pkg = Package()
-    for _ in range(5):
-        a = rand_vec(rng, 5)
-        b = rand_vec(rng, 5)
-        got = pkg.inner_product(pkg.from_statevector(a), pkg.from_statevector(b))
-        assert abs(got - np.vdot(a, b)) < 1e-9
 
 
 def test_norm_matches_numpy():
@@ -426,7 +403,7 @@ def test_homomorphism_add_kron(seed, n):
     m = min(n, 4)
     c = rand_vec(rng, m)
     ec = pkg.from_statevector(c)
-    got = pkg.extract_statevector(pkg.kron(ea, ec), n + m)
+    got = pkg.extract_statevector(pkg.import_edge(pkg, ea, shift=m, splice=ec), n + m)
     assert np.abs(got - np.kron(a, c)).max() < 1e-10
 
 
@@ -476,7 +453,7 @@ def test_gc_interleaved_simulation_deterministic(fig4):
     pkg = Package()
     state = pkg.make_basis_state(4, "0000")
     for g in fig4.gates:
-        state = pkg.multiply(build_gate_dd(g, 4, pkg), state)
+        state = pkg.multiply(pkg.matrix_dd(4, g.qubits, g.operator()), state)
         pkg.gc([state])
     got = pkg.extract_statevector(state)
     assert np.abs(got - want).max() < 1e-13
@@ -544,17 +521,3 @@ def test_reachable_vector_and_matrix_spaces():
     assert len(ra) == pkg.count_nodes(a) and len(rb) == 3
     assert pkg.reachable([a, b]) == ra | rb
     assert pkg.reachable([ZERO_EDGE]) == set()
-    m = pkg.identity_dd(3)
-    assert len(pkg.reachable([m], matrix=True)) == pkg.count_matrix_nodes(m) == 3
-
-
-def test_dump_format():
-    pkg = Package()
-    e = pkg.make_basis_state(2, "10")
-    text = pkg.dump(e)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("# vector-dd root_node=")
-    assert len(lines) == 1 + pkg.count_nodes(e)
-    for line in lines[1:]:
-        parts = line.split()
-        assert len(parts) == 6  # id level t0 w0 t1 w1

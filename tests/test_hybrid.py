@@ -284,7 +284,7 @@ def test_block_packages_stay_bounded_over_1024_paths():
 
     def pressure(pkg):
         return (pkg.live_nodes() + len(pkg._memo_add) + len(pkg._memo_mul)
-                + len(pkg._memo_ip) + pkg.weights.cached())
+                + pkg.weights.cached())
 
     acc = np.zeros(16, dtype=complex)
     for i in range(cls.path_count):
@@ -404,8 +404,7 @@ def test_cross_engine_fidelity():
     pkg = Package()
     schrod = simulate(c, pkg)
     rdd = run_hybrid_dd(c)
-    hybrid_in_pkg = pkg.import_edge(rdd.package, rdd.state)
-    fid = abs(pkg.inner_product(schrod, hybrid_in_pkg))
+    fid = abs(np.vdot(pkg.extract_statevector(schrod), rdd.package.extract_statevector(rdd.state)))
     assert abs(fid - 1) < 1e-9
 
 

@@ -123,6 +123,20 @@ def test_bad_angle_expression():
             parse(f"qreg q[1]; rz({expr}) q[0];")
 
 
+@pytest.mark.parametrize("expr", ["1/0", "pi/(1-1)", "2/0.0"])
+def test_angle_division_by_zero_reports_line(expr):
+    with pytest.raises(QasmError, match="division by zero") as err:
+        parse(f"qreg q[1];\nh q[0];\nrx({expr}) q[0];\n")
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("expr", ["1e400", "-1e400", "1/1e400", "1e200*1e200"])
+def test_non_finite_angle_reports_line(expr):
+    with pytest.raises(QasmError) as err:
+        parse(f"qreg q[1];\nrx({expr}) q[0];\n")
+    assert err.value.line == 2
+
+
 def test_printer_output_shape():
     c = Circuit(2, (Gate("rz", (math.pi / 4,), (), (0,)), Gate("cz", (), (1,), (0,))))
     text = to_qasm(c)

@@ -3,7 +3,7 @@ import pytest
 
 from qcdd.circuit import Circuit, Gate, apply_matrix, dense_simulate, generate_random_circuit
 from qcdd.dd import Package
-from qcdd.schrodinger import build_gate_dd, simulate
+from qcdd.schrodinger import simulate
 from qcdd.weights import ZERO
 from conftest import FIG_STATE
 
@@ -32,7 +32,8 @@ def test_cz_gate_dd_structure():
     # controlled-Z on (control q1, target q0): the control level branches into
     # identity under the |0><0| successor and Z under |1><1|, nothing else
     pkg = Package()
-    e = build_gate_dd(Gate("cz", controls=(1,), targets=(0,)), 2, pkg)
+    g = Gate("cz", controls=(1,), targets=(0,))
+    e = pkg.matrix_dd(2, g.qubits, g.operator())
     level, w0, t0, w1, t1, w2, t2, w3, t3 = pkg._mnodes[e[1]]
     assert level == 1
     assert w1 == ZERO and w2 == ZERO
@@ -47,7 +48,8 @@ def test_identity_gate_noop():
     pkg = Package()
     c = generate_random_circuit(4, 3, seed=1, cz_density=0.5)
     v = simulate(c, pkg)
-    e = build_gate_dd(Gate("i", targets=(2,)), 4, pkg)
+    g = Gate("i", targets=(2,))
+    e = pkg.matrix_dd(4, g.qubits, g.operator())
     assert pkg.multiply(e, v) == v
 
 
@@ -63,14 +65,15 @@ def test_identity_gate_noop():
 )
 def test_gate_dd_matches_padded_matrix(gate, n):
     pkg = Package()
-    e = build_gate_dd(gate, n, pkg)
+    e = pkg.matrix_dd(n, gate.qubits, gate.operator())
     assert np.abs(dd_columns(pkg, e, n) - padded_operator(gate, n)).max() < 1e-12
 
 
 def test_gate_dd_index_out_of_range():
     pkg = Package()
     with pytest.raises(ValueError):
-        build_gate_dd(Gate("h", targets=(4,)), 4, pkg)
+        g = Gate("h", targets=(4,))
+        pkg.matrix_dd(4, g.qubits, g.operator())
 
 
 def test_simulate_reference_circuit(fig4):

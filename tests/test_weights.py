@@ -49,8 +49,6 @@ def test_arithmetic_examples():
     x = t.lookup(0.25 - 0.5j)
     assert t.mul(ONE, x) == x
     assert t.add(ZERO, x) == x
-    assert t.val(t.neg(x)) == -t.val(x)
-    assert t.val(t.conj(x)) == t.val(x).conjugate()
 
 
 def test_division():
@@ -77,7 +75,7 @@ def test_lookup_idempotent(z):
 def test_arithmetic_closure(a, b):
     t = ComplexTable()
     ha, hb = t.lookup(a), t.lookup(b)
-    for h in (t.add(ha, hb), t.mul(ha, hb), t.neg(ha)):
+    for h in (t.add(ha, hb), t.mul(ha, hb)):
         # result is a canonical handle: looking its value up returns itself
         assert t.lookup(t.val(h)) == h
 
