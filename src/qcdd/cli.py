@@ -51,7 +51,7 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     top = argparse.ArgumentParser(prog="qcdd", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben_p.add_argument("--json", dest="json_out", default=None, help="write the report to JSON")
     ben_p.add_argument("--verify", action="store_true",
                        help="also cross-check engine outputs where feasible")
-    return top
+    return top, sub
 
 
 def _get_circuit(args) -> Circuit:
@@ -129,13 +129,6 @@ class UsageError(Exception):
     pass
 
 
-def _partition(args, n: int) -> Partition:
-    cut = args.cut if args.cut is not None else n // 2
-    if not 1 <= cut <= n - 1:
-        raise UsageError(f"--cut {cut} invalid for {n} qubits (need 1..{n - 1})")
-    return Partition(cut)
-
-
 def _run_engine(args, circuit: Circuit, mode: str):
     """Returns (amplitude_getter, full_vector_getter, stats_record)."""
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
@@ -157,7 +150,7 @@ def _run_engine(args, circuit: Circuit, mode: str):
         return (lambda bits: pkg.get_amplitude(edge, bits),
                 lambda: pkg.extract_statevector(edge),
                 record)
-    partition = _partition(args, circuit.n)
+    partition = Partition(args.cut) if args.cut is not None else None
     if mode == "hybrid-dd":
         res = run_hybrid_dd(circuit, partition, workers=workers, tol=args.tol,
                             amp_cap=args.amp_cap, check_norm=check)
@@ -168,13 +161,7 @@ def _run_engine(args, circuit: Circuit, mode: str):
     res = run_hybrid_amp(circuit, partition, workers=workers, tol=args.tol,
                          amp_cap=args.amp_cap, check_norm=check)
     vec = res.vector
-
-    def amp_of(bits: str) -> complex:
-        if len(bits) != circuit.n or set(bits) - {"0", "1"}:
-            raise UsageError(f"bad basis string {bits!r} for n={circuit.n}")
-        return complex(vec[int(bits, 2)])
-
-    return amp_of, (lambda: vec), res.stats
+    return (lambda bits: complex(vec[int(bits, 2)])), (lambda: vec), res.stats
 
 
 def _cmd_run(args) -> int:
@@ -281,7 +268,7 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
@@ -292,13 +279,17 @@ def main(argv=None) -> int:
             except (OSError, ValueError) as exc:
                 print(f"error: bad --config: {exc}", file=sys.stderr)
                 return EXIT_USAGE
+            actions = subparsers.choices[args.command]._option_string_actions
             flags = []
             for key, val in cfg.items():
                 flag = "--" + key.replace("_", "-")
+                nargs = getattr(actions.get(flag), "nargs", None)
                 if val.lower() == "true":
                     flags.append(flag)
                 elif val.lower() != "false":
-                    flags.extend([flag, val])
+                    # only a flag taking several values has its value split
+                    several = nargs in ("+", "*") or isinstance(nargs, int) and nargs > 1
+                    flags.extend([flag, *val.split()] if several else [flag, val])
             args = parser.parse_args([argv[0], *flags, *argv[1:]])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0

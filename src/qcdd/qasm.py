@@ -10,13 +10,16 @@ Supported statements (one per ``;``, ``//`` comments allowed anywhere):
 
 Measurement, classical registers, conditionals, gate definitions, opaque
 declarations, and register broadcasts (``h q;``) are rejected.  Angle
-expressions may use numbers, ``pi``, ``+ - * /`` and parentheses; division
-by zero and non-finite values are rejected.
+expressions may use decimal numbers, ``pi``, unary ``+``/``-``, binary
+``+ - * /`` and parentheses; they are read by Python's own parser behind a
+character whitelist.  Division by zero and non-finite values are rejected.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 
 from .circuit import GATE_KINDS, Circuit, Gate
@@ -32,167 +35,70 @@ class QasmError(Exception):
 
 _REJECTED = ("measure", "creg", "if", "reset", "gate", "opaque")
 
-_NAME_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*")
-_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+# Comments are cut first; a statement runs from its first non-blank
+# character to the next ';' (group 1 is empty when the source ends first).
+_COMMENT_RE = re.compile(r"//.*")
+_STMT_RE = re.compile(r"[^;\s][^;]*(;?)")
+# name, optional parenthesized parameter text (up to the last ')'), operands
+_CALL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*(.*)", re.S)
+_OPERAND_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]")
+# Python reads more number forms than the grammar allows (0x10, 1_0, 1j) and
+# more names than pi; only these characters may reach ``ast.parse``.
+_ANGLE_CHARS_RE = re.compile(r"[0-9.eEpi+\-*/(),\s]*")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
-def _split_call(stmt: str, line: int) -> tuple[str, str | None, str]:
-    """Split a gate call into (name, params_text, operand_text)."""
-    m = _NAME_RE.match(stmt)
-    if not m:
-        raise QasmError(f"cannot parse statement {stmt!r}", line)
-    name = m.group(1)
-    rest = stmt[m.end():]
-    params = None
-    if rest.startswith("("):
-        depth = 0
-        for i, ch in enumerate(rest):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    params = rest[1:i]
-                    rest = rest[i + 1:]
-                    break
-        else:
-            raise QasmError(f"unbalanced parentheses in {stmt!r}", line)
-    return name, params, rest.strip()
-
-
-def _split_params(text: str) -> list[str]:
-    """Split a parameter list on top-level commas."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-_NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-
-
-def _eval_angle(text: str, line: int) -> float:
-    """Tiny recursive-descent evaluator for angle expressions."""
-    tokens: list[str] = []
-    i = 0
-    s = text.strip()
-    while i < len(s):
-        c = s[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/()":
-            tokens.append(c)
-            i += 1
-            continue
-        m = _NUM_RE.match(s, i)
-        if m:
-            tokens.append(m.group(0))
-            i = m.end()
-            continue
-        if s[i : i + 2] == "pi" and not s[i + 2 : i + 3].isalnum():
-            tokens.append("pi")
-            i += 2
-            continue
-        raise QasmError(f"bad angle expression {text!r}", line)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def atom() -> float:
-        tok = peek()
-        if tok is None:
-            raise QasmError(f"bad angle expression {text!r}", line)
-        if tok == "-":
-            take()
-            return -atom()
-        if tok == "+":
-            take()
-            return atom()
-        if tok == "(":
-            take()
-            v = expr()
-            if peek() != ")":
-                raise QasmError(f"unbalanced parentheses in {text!r}", line)
-            take()
-            return v
-        take()
-        if tok == "pi":
-            return math.pi
+def _angle(node: ast.expr, text: str, line: int) -> float:
+    """Value of one angle expression tree; every node's value must be finite."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         try:
-            v = float(tok)
-        except ValueError:
-            raise QasmError(f"bad angle token {tok!r} in {text!r}", line) from None
-        if not math.isfinite(v):
-            raise QasmError(f"angle literal {tok!r} overflows in {text!r}", line)
-        return v
-
-    def term() -> float:
-        v = atom()
-        while peek() in ("*", "/"):
-            if take() == "*":
-                v *= atom()
-            else:
-                d = atom()
-                if d == 0:
-                    raise QasmError(f"division by zero in angle expression {text!r}", line)
-                v /= d
-        return v
-
-    def expr() -> float:
-        v = term()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                v += term()
-            else:
-                v -= term()
-        return v
-
-    v = expr()
-    if pos != len(tokens):
-        raise QasmError(f"trailing tokens in angle expression {text!r}", line)
+            v = float(node.value)
+        except OverflowError:
+            v = math.inf
+    elif isinstance(node, ast.Name) and node.id == "pi":
+        v = math.pi
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        v = _angle(node.operand, text, line)
+        if isinstance(node.op, ast.USub):
+            v = -v
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        a = _angle(node.left, text, line)
+        b = _angle(node.right, text, line)
+        if isinstance(node.op, ast.Div) and b == 0:
+            raise QasmError(f"division by zero in angle expression {text!r}", line)
+        v = _BINOPS[type(node.op)](a, b)
+    else:
+        raise QasmError(f"bad angle expression {text!r}", line)
     if not math.isfinite(v):
         raise QasmError(f"angle expression {text!r} is not finite", line)
     return v
 
 
+def _angles(text: str, line: int) -> tuple[float, ...]:
+    """Evaluate a comma-separated list of angle expressions."""
+    if not _ANGLE_CHARS_RE.fullmatch(text):
+        raise QasmError(f"bad angle expression {text!r}", line)
+    try:
+        body = ast.parse(f"({text},)", mode="eval").body
+        # a ')' in the text can close the wrapper early: "(pi)(2" is a call
+        if not isinstance(body, ast.Tuple):
+            raise QasmError(f"bad angle expression {text!r}", line)
+        return tuple(_angle(e, text, line) for e in body.elts)
+    except (SyntaxError, RecursionError):
+        raise QasmError(f"bad angle expression {text!r}", line) from None
+
+
 def _statements(source: str):
-    """Yield (statement_text, line_number) with comments stripped."""
-    buf: list[str] = []
-    start_line = 1
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        code = raw.split("//", 1)[0]
-        for ch in code:
-            if ch == ";":
-                stmt = "".join(buf).strip()
-                if stmt:
-                    yield stmt, start_line
-                buf = []
-                start_line = lineno
-            else:
-                if not buf:
-                    start_line = lineno
-                buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        raise QasmError(f"statement missing terminating ';': {tail!r}", start_line)
+    """Yield (statement_text, line of its first character), comments stripped."""
+    code = _COMMENT_RE.sub("", source)
+    line, pos = 1, 0
+    for m in _STMT_RE.finditer(code):
+        line += code.count("\n", pos, m.start())
+        pos = m.start()
+        if not m.group(1):
+            raise QasmError(f"statement missing terminating ';': {m.group(0).rstrip()!r}", line)
+        yield m.group(0)[:-1].rstrip(), line
 
 
 def parse(source: str) -> Circuit:
@@ -201,29 +107,25 @@ def parse(source: str) -> Circuit:
     n = 0
     gates: list[Gate] = []
     for stmt, line in _statements(source):
-        word = stmt.split(None, 1)[0].lower() if stmt.split() else ""
-        if word == "openqasm":
+        m = _CALL_RE.fullmatch(stmt)
+        if not m:
+            raise QasmError(f"cannot parse statement {stmt!r}", line)
+        kind, params_text, operand_text = m.group(1).lower(), m.group(2), m.group(3)
+        if kind in ("openqasm", "include", "barrier"):
             continue
-        if word == "include":
-            continue
-        if word == "barrier":
-            continue
-        if word in _REJECTED:
-            raise QasmError(f"unsupported statement {word!r}", line)
-        if word == "qreg":
-            m = re.match(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", stmt)
-            if not m:
+        if kind in _REJECTED:
+            raise QasmError(f"unsupported statement {kind!r}", line)
+        if kind == "qreg":
+            om = _OPERAND_RE.fullmatch(operand_text)
+            if params_text is not None or not om:
                 raise QasmError(f"malformed qreg declaration {stmt!r}", line)
             if reg_name is not None:
                 raise QasmError("only a single qreg declaration is supported", line)
-            reg_name = m.group(1)
-            n = int(m.group(2))
+            reg_name = om.group(1)
+            n = int(om.group(2))
             if n < 1:
                 raise QasmError("qreg must have at least one qubit", line)
             continue
-        # Gate call.
-        name, params_text, operand_text = _split_call(stmt, line)
-        kind = name.lower()
         if kind not in GATE_KINDS:
             if re.fullmatch(r"c+[a-z]+", kind) and kind.lstrip("c") in GATE_KINDS:
                 raise QasmError(f"multi-controlled gate {kind!r} is not supported", line)
@@ -236,19 +138,16 @@ def parse(source: str) -> Circuit:
                 raise QasmError(f"gate {kind!r} takes no parameters", line)
             params: tuple[float, ...] = ()
         else:
-            if params_text is None:
+            params = _angles(params_text, line) if params_text is not None else ()
+            if len(params) != n_params:
                 raise QasmError(f"gate {kind!r} needs {n_params} parameter(s)", line)
-            parts = _split_params(params_text)
-            if len(parts) != n_params:
-                raise QasmError(f"gate {kind!r} needs {n_params} parameter(s)", line)
-            params = tuple(_eval_angle(p, line) for p in parts)
         args = [a.strip() for a in operand_text.split(",")] if operand_text else []
         want = intrinsic + n_targets
         if len(args) != want:
             raise QasmError(f"gate {kind!r} takes {want} operand(s), got {len(args)}", line)
         idx = []
         for a in args:
-            om = _OPERAND_RE.match(a)
+            om = _OPERAND_RE.fullmatch(a)
             if not om:
                 raise QasmError(f"bad operand {a!r} (register broadcast unsupported)", line)
             if om.group(1) != reg_name:

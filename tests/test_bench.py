@@ -35,12 +35,14 @@ def test_bench_rows_and_reports():
 
 def test_bench_timeout_marks_rows():
     rows = run_bench([8], [6], [0], density=0.5, pairing="any", workers=1,
-                     timeout=1e-4, modes=("ref",))
+                     timeout=1e-4)
     row = rows[0]
-    assert row.t_ref is None
-    cells = row.cells()
-    assert cells[2].startswith(">")
-    assert cells[4] == "---"
+    assert row.t_ref is None and row.t_dd is None and row.t_amp is None
+    cells = dict(zip(COLUMNS, row.cells()))
+    for col in ("t_ref", "t_DD", "t_amp"):
+        assert cells[col].startswith(">")
+    assert cells["t_ref/t_DD"] == "---"
+    assert cells["t_ref/t_amp"] == "---"
 
 
 def test_bench_engine_death_names_exit_code():

@@ -222,6 +222,25 @@ def test_bad_config_file(tmp_path, fig4_qasm, capsys):
     assert "bad --config" in capsys.readouterr().err
 
 
+def test_config_file_sets_multi_value_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("random = 4 2 0 0.5\nstats = true\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rec["n"] == 4
+
+
+def test_config_file_single_value_keeps_spaces(tmp_path, fig4_qasm, capsys):
+    path = write_fig(tmp_path, fig4_qasm)
+    out = tmp_path / "two words.txt"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {out}\namplitudes = all\n")
+    assert main(["run", path, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig.qasm", "run.cfg", "two words.txt"]
+    assert np.abs(np.array(list(amp_lines(out.read_text()).values())) - FIG_STATE).max() < 1e-12
+
+
 @pytest.mark.parametrize("expr", ["1/0", "1e400"])
 def test_run_bad_angle_is_parse_error(tmp_path, capsys, expr):
     path = tmp_path / "bad.qasm"

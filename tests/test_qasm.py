@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,17 @@ def test_rejected_statement_reports_line():
     with pytest.raises(QasmError) as err:
         parse("qreg q[2];\nh q[0];\nmeasure q[0] -> c[0];\n")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("source, line", [
+    ("qreg q[1];\nh q[0]; // note\n\nrx(1/0) q[0];", 4),
+    ("qreg q[1];\nh q[0]; \nmeasure q[0] -> c[0];", 3),
+    ("qreg q[1];\nh q[0];\n\n  h q[0]", 4),
+], ids=["after_comment_and_blank", "after_trailing_blank", "missing_semicolon"])
+def test_error_line_is_first_character_of_statement(source, line):
+    with pytest.raises(QasmError) as err:
+        parse(source)
+    assert err.value.line == line
 
 
 def test_multi_controlled_rejected():
@@ -135,6 +147,78 @@ def test_non_finite_angle_reports_line(expr):
     with pytest.raises(QasmError) as err:
         parse(f"qreg q[1];\nrx({expr}) q[0];\n")
     assert err.value.line == 2
+
+
+@st.composite
+def _literal(draw):
+    """A decimal literal (``5``, ``5.``, ``.5``, ``5.25``, optional exponent)
+    and its value; a literal past the float range has value None."""
+    whole = str(draw(st.integers(0, 10**6)))
+    frac = draw(st.text("0123456789", min_size=1, max_size=4))
+    text = draw(st.sampled_from([whole, whole + ".", "." + frac, whole + "." + frac]))
+    if draw(st.booleans()):
+        text += "e" + draw(st.sampled_from(["", "+", "-"])) + str(draw(st.integers(0, 400)))
+    v = float(text)
+    return text, v if math.isfinite(v) else None
+
+
+def _unary(child):
+    return st.tuples(st.sampled_from("+-"), child).map(
+        lambda t: (t[0] + t[1][0], None if t[1][1] is None else (-t[1][1] if t[0] == "-" else t[1][1]))
+    )
+
+
+def _apply(op, a, b):
+    if a is None or b is None or (op == "/" and b == 0):
+        return None
+    v = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](a, b)
+    return v if math.isfinite(v) else None
+
+
+def _binary(child):
+    return st.tuples(child, st.sampled_from("+-*/"), st.sampled_from(["", " "]), child).map(
+        lambda t: (f"({t[0][0]}{t[2]}{t[1]}{t[2]}{t[3][0]})", _apply(t[1], t[0][1], t[3][1]))
+    )
+
+
+_EXPR = st.recursive(
+    st.one_of(_literal(), st.just(("pi", math.pi))),
+    lambda child: st.one_of(_unary(child), _binary(child)),
+    max_leaves=12,
+)
+
+
+@given(_EXPR)
+@settings(max_examples=300, deadline=None)
+def test_angle_expression_trees(expr):
+    # the expected value comes from the same float operations in the same
+    # order; a tree that divides by zero or leaves the float range anywhere
+    # must be rejected
+    text, value = expr
+    source = f"qreg q[1];\nrz({text}) q[0];\n"
+    if value is None:
+        with pytest.raises(QasmError) as err:
+            parse(source)
+        assert err.value.line == 2
+    else:
+        assert parse(source).gates[0].params == (value,)
+
+
+@pytest.mark.parametrize("expr, value", [
+    ("0x10", None), ("1_0", None), ("1j", None), ("True", None), ("pi**2", None),
+    ("(pi)(2", None), ("abs(1)", None), ("[1]", None),
+    ("(" * 300 + "1" + ")" * 300, 1.0), ("+".join(["1"] * 5000), 5000.0),
+], ids=["hex", "underscore", "imaginary", "bool", "power", "call_after_paren", "call",
+        "list", "nested_300", "chain_5000"])
+def test_python_only_angle_forms(expr, value):
+    # each form either parses to its value or raises QasmError with the
+    # line; no other exception type may escape
+    try:
+        c = parse(f"qreg q[1];\nh q[0];\nrz({expr}) q[0];\n")
+    except QasmError as err:
+        assert err.line == 3
+    else:
+        assert value is not None and c.gates[-1].params == (value,)
 
 
 def test_printer_output_shape():
