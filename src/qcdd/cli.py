@@ -283,7 +283,13 @@ def main(argv=None) -> int:
             flags = []
             for key, val in cfg.items():
                 flag = "--" + key.replace("_", "-")
-                nargs = getattr(actions.get(flag), "nargs", None)
+                # an abbreviated key names the one flag it is a prefix of,
+                # as on the command line
+                action = actions.get(flag)
+                if action is None:
+                    found = {a for opt, a in actions.items() if opt.startswith(flag)}
+                    action = found.pop() if len(found) == 1 else None
+                nargs = getattr(action, "nargs", None)
                 if val.lower() == "true":
                     flags.append(flag)
                 elif val.lower() != "false":

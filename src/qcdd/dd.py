@@ -15,6 +15,14 @@ largest magnitude, leftmost among magnitudes within ``tol`` of each other
 so equal sub-vectors share one node and equal diagrams compare equal as
 edge tuples.
 
+Inside ``add``, ``multiply`` and ``import_edge`` intermediate weights stay
+raw: the recursions pass and return ``(complex, node_id)`` pairs and never
+round a sum or product through the weight table.  Only three kinds of value
+are interned: a node's successor ratio (in :meth:`Package._normalize`), the
+ratio of two operands that keys the add memo, and the weight of the edge
+handed back to the caller.  A raw value within ``tol`` of 0 in both
+components counts as zero, as it would after a lookup.
+
 A :class:`Package` owns the unique tables, the memoization caches, and the
 weight table, and is strictly single-writer.  Operator diagrams are
 memoized by content for the package's lifetime and are the only roots of
@@ -34,9 +42,11 @@ from .circuit import CapacityError
 from .weights import ONE, ZERO, ComplexTable
 
 Edge = tuple[int, int]
+RawEdge = tuple[complex, int]
 
 ZERO_EDGE: Edge = (ZERO, 0)
 ONE_EDGE: Edge = (ONE, 0)
+RAW_ZERO: RawEdge = (0j, 0)
 
 
 class Package:
@@ -55,7 +65,7 @@ class Package:
         self._mtable: dict[tuple, int] = {}
         # (n, qubits, matrix bytes) -> operator diagram; gc roots of the matrix space
         self._memo_op: dict[tuple, Edge] = {}
-        # compute tables, dropped wholesale on gc
+        # compute tables of raw-weight results, dropped wholesale on gc
         self._memo_add: dict = {}
         self._memo_mul: dict = {}
         self.peak_nodes = 0
@@ -72,38 +82,8 @@ class Package:
         if live > self.peak_nodes:
             self.peak_nodes = live
 
-    def make_vector_node(self, level: int, e0: Edge, e1: Edge) -> Edge:
-        """Normalize and unique a prospective node; returns its canonical edge.
-
-        An all-zero node collapses to the canonical zero edge.  Otherwise the
-        successor weight of largest magnitude is divided out of both
-        successors and returned as the edge weight.  Magnitudes within ``tol``
-        are a tie, which the left successor wins, so a last-bit rounding
-        difference cannot pick another divisor for the same sub-vector.
-        Stored weights thus stay at magnitude 1 up to a tie (below 2), which
-        the absolute-tolerance weight uniquing relies on: a successor whose
-        quotient canonicalizes to zero really does carry negligible mass
-        relative to its sibling.
-        """
-        w0, t0 = e0
-        w1, t1 = e1
-        wt = self.weights
-        if w0 == ZERO:
-            if w1 == ZERO:
-                return ZERO_EDGE
-            key = (level, ZERO, 0, ONE, t1)
-            norm = w1
-        elif w1 == ZERO:
-            key = (level, ONE, t0, ZERO, 0)
-            norm = w0
-        elif abs(wt.val(w1)) - abs(wt.val(w0)) > wt.tol:
-            norm = w1
-            nw0 = wt.div(w0, w1)
-            key = (level, ZERO, 0, ONE, t1) if nw0 == ZERO else (level, nw0, t0, ONE, t1)
-        else:
-            norm = w0
-            nw1 = wt.div(w1, w0)
-            key = (level, ONE, t0, ZERO, 0) if nw1 == ZERO else (level, ONE, t0, nw1, t1)
+    def _unique(self, key: tuple) -> int:
+        """Id of the vector node ``key``, made if it does not exist yet."""
         node = self._vtable.get(key)
         if node is None:
             if self._vfree:
@@ -114,7 +94,49 @@ class Package:
                 self._vnodes.append(key)
             self._vtable[key] = node
             self._bump_peak()
-        return (norm, node)
+        return node
+
+    def _normalize(self, level: int, w0: complex, t0: int, w1: complex, t1: int) -> RawEdge:
+        """Normalize and unique a prospective node given raw successor
+        weights; returns its raw-weight edge.
+
+        A weight within ``tol`` of 0 counts as zero, and an all-zero node
+        collapses to the zero edge.  Otherwise the successor weight of
+        largest magnitude is returned as the edge weight, and the other one
+        is divided by it; that ratio is the only value interned.  Magnitudes
+        within ``tol`` are a tie, which the left successor wins, so a
+        last-bit rounding difference cannot pick another divisor for the
+        same sub-vector.  Stored weights thus stay at magnitude 1 up to a tie
+        (below 2), which the absolute-tolerance weight uniquing relies on: a
+        successor whose ratio canonicalizes to zero really does carry
+        negligible mass relative to its sibling.
+        """
+        tol = self.weights.tol
+        if -tol <= w0.real <= tol and -tol <= w0.imag <= tol:
+            if -tol <= w1.real <= tol and -tol <= w1.imag <= tol:
+                return RAW_ZERO
+            return (w1, self._unique((level, ZERO, 0, ONE, t1)))
+        if -tol <= w1.real <= tol and -tol <= w1.imag <= tol:
+            return (w0, self._unique((level, ONE, t0, ZERO, 0)))
+        if abs(w1) - abs(w0) > tol:
+            r = self.weights.lookup(w0 / w1)
+            key = (level, ZERO, 0, ONE, t1) if r == ZERO else (level, r, t0, ONE, t1)
+            return (w1, self._unique(key))
+        r = self.weights.lookup(w1 / w0)
+        key = (level, ONE, t0, ZERO, 0) if r == ZERO else (level, ONE, t0, r, t1)
+        return (w0, self._unique(key))
+
+    def _intern(self, e: RawEdge) -> Edge:
+        """The handle edge of a raw-weight edge (a weight that looks up as
+        ZERO gives the canonical zero edge)."""
+        h = self.weights.lookup(e[0])
+        return (h, e[1]) if h != ZERO else ZERO_EDGE
+
+    def make_vector_node(self, level: int, e0: Edge, e1: Edge) -> Edge:
+        """Normalize and unique a prospective node given handle successor
+        edges; returns its canonical edge (see :meth:`_normalize`)."""
+        val = self.weights.val
+        return self._intern(self._normalize(level, val(e0[0]), e0[1], val(e1[0]), e1[1]))
 
     def make_matrix_node(self, level: int, succ: Iterable[Edge]) -> Edge:
         """Matrix-node analog of :meth:`make_vector_node` (four successors;
@@ -154,16 +176,16 @@ class Package:
             raise ValueError("need at least one qubit")
         if len(bits) != n:
             raise ValueError(f"bit string length {len(bits)} != n = {n}")
-        e = ONE_EDGE
+        t = 0
         for level in range(n):
             bit = bits[n - 1 - level]
             if bit == "0":
-                e = self.make_vector_node(level, e, ZERO_EDGE)
+                t = self._unique((level, ONE, t, ZERO, 0))
             elif bit == "1":
-                e = self.make_vector_node(level, ZERO_EDGE, e)
+                t = self._unique((level, ZERO, 0, ONE, t))
             else:
                 raise ValueError(f"bad bit {bit!r} in {bits!r}")
-        return e
+        return (ONE, t)
 
     def from_statevector(self, vec: np.ndarray) -> Edge:
         """Build the canonical diagram of a dense vector (length a power of two)."""
@@ -171,18 +193,16 @@ class Package:
         n = size.bit_length() - 1
         if size != 1 << n:
             raise ValueError(f"length {size} is not a power of two")
-        lookup = self.weights.lookup
 
-        def build(lo: int, hi: int, level: int) -> Edge:
+        def build(lo: int, hi: int, level: int) -> RawEdge:
             if level < 0:
-                v = complex(vec[lo])
-                return (lookup(v), 0) if v != 0 else ZERO_EDGE
+                return (complex(vec[lo]), 0)
             mid = (lo + hi) // 2
-            return self.make_vector_node(
-                level, build(lo, mid, level - 1), build(mid, hi, level - 1)
+            return self._normalize(
+                level, *build(lo, mid, level - 1), *build(mid, hi, level - 1)
             )
 
-        return build(0, size, n - 1)
+        return self._intern(build(0, size, n - 1))
 
     # ------------------------------------------------------------------
     # queries
@@ -348,35 +368,41 @@ class Package:
     def add(self, a: Edge, b: Edge) -> Edge:
         """Elementwise sum of two vector diagrams of equal qubit count."""
         self._check_same_qubits(a, b)
-        return self._add(a, b)
+        val = self.weights.val
+        return self._intern(self._add((val(a[0]), a[1]), (val(b[0]), b[1])))
 
-    def _add(self, a: Edge, b: Edge) -> Edge:
+    def _add(self, a: RawEdge, b: RawEdge) -> RawEdge:
         wa, ta = a
         wb, tb = b
-        if wa == ZERO:
+        tol = self.weights.tol
+        if -tol <= wa.real <= tol and -tol <= wa.imag <= tol:
             return b
-        if wb == ZERO:
+        if -tol <= wb.real <= tol and -tol <= wb.imag <= tol:
             return a
         if ta == tb:
-            w = self.weights.add(wa, wb)
-            return (w, ta) if w != ZERO else ZERO_EDGE
+            return (wa + wb, ta)
         if ta == 0 or tb == 0:
             raise ValueError("adding vectors of different qubit counts")
-        if (ta, wa) > (tb, wb):
-            a, b = b, a
+        if ta > tb:
             wa, ta, wb, tb = wb, tb, wa, ta
-        key = (wa, ta, wb, tb)
+        # a + b = wa * (A + r B): the memo holds A + r B under the interned r
+        r = self.weights.lookup(wb / wa)
+        if r == ZERO:
+            return (wa, ta)
+        key = (ta, tb, r)
         res = self._memo_add.get(key)
         if res is None:
             la, a0w, a0t, a1w, a1t = self._vnodes[ta]
             lb, b0w, b0t, b1w, b1t = self._vnodes[tb]
             if la != lb:
                 raise ValueError("adding vectors of different qubit counts")
-            r0 = self._add(self._scale((a0w, a0t), wa), self._scale((b0w, b0t), wb))
-            r1 = self._add(self._scale((a1w, a1t), wa), self._scale((b1w, b1t), wb))
-            res = self.make_vector_node(la, r0, r1)
+            val = self.weights.val
+            rv = val(r)
+            w0, t0 = self._add((val(a0w), a0t), (rv * val(b0w), b0t))
+            w1, t1 = self._add((val(a1w), a1t), (rv * val(b1w), b1t))
+            res = self._normalize(la, w0, t0, w1, t1)
             self._memo_add[key] = res
-        return res
+        return (wa * res[0], res[1])
 
     def multiply(self, m: Edge, v: Edge) -> Edge:
         """Matrix-vector product: the block recursion
@@ -387,14 +413,16 @@ class Package:
                 f"qubit count mismatch: matrix {self._mnodes[tm][0] + 1} vs vector "
                 f"{self._vnodes[tv][0] + 1}"
             )
-        return self._mv(m, v)
+        return self._intern(self._mv(m, v))
 
-    def _mv(self, m: Edge, v: Edge) -> Edge:
+    def _mv(self, m: Edge, v: Edge) -> RawEdge:
+        """Product of two handle edges (stored successors) as a raw edge."""
         wm, tm = m
         wv, tv = v
         if wm == ZERO or wv == ZERO:
-            return ZERO_EDGE
-        w = self.weights.mul(wm, wv)
+            return RAW_ZERO
+        val = self.weights.val
+        w = val(wm) * val(wv)
         if tm == 0 and tv == 0:
             return (w, 0)
         if tm == 0 or tv == 0:
@@ -408,11 +436,11 @@ class Package:
                 raise ValueError("matrix/vector level mismatch")
             v0 = (v0w, v0t)
             v1 = (v1w, v1t)
-            r0 = self._add(self._mv((m0w, m0t), v0), self._mv((m1w, m1t), v1))
-            r1 = self._add(self._mv((m2w, m2t), v0), self._mv((m3w, m3t), v1))
-            res = self.make_vector_node(lm, r0, r1)
+            w0, t0 = self._add(self._mv((m0w, m0t), v0), self._mv((m1w, m1t), v1))
+            w1, t1 = self._add(self._mv((m2w, m2t), v0), self._mv((m3w, m3t), v1))
+            res = self._normalize(lm, w0, t0, w1, t1)
             self._memo_mul[key] = res
-        return self._scale(res, w)
+        return (w * res[0], res[1])
 
     def import_edge(self, src: "Package", e: Edge, shift: int = 0, splice: Edge | None = None) -> Edge:
         """Copy a vector diagram from ``src`` into this package.
@@ -420,36 +448,27 @@ class Package:
         ``shift`` raises every level by that amount; ``splice`` (an edge of
         this package) replaces the terminal, which is exactly the Kronecker
         product when ``shift`` equals the splice's qubit count.  Weights are
-        converted by value, so this is the one sanctioned way to move results
-        between per-worker packages.
+        converted by value and every node is normalized again here, so this
+        is the one sanctioned way to move results between per-worker
+        packages.
         """
-        if splice is None:
-            splice = ONE_EDGE
-        lookup = self.weights.lookup
+        sw, st = ONE_EDGE if splice is None else splice
+        swv = self.weights.val(sw)
         sval = src.weights.val
-        memo: dict[int, Edge] = {}
+        memo: dict[int, RawEdge] = {}
 
-        def conv(w: int) -> int:
-            if w == ZERO or w == ONE:
-                return w
-            return lookup(sval(w))
-
-        def rec(e: Edge) -> Edge:
-            w, t = e
+        def rec(w: int, t: int) -> RawEdge:
             if w == ZERO:
-                return ZERO_EDGE
+                return RAW_ZERO
             if t == 0:
-                return self._scale(splice, conv(w))
+                return (swv * sval(w), st)
             cached = memo.get(t)
             if cached is None:
                 level, w0, t0, w1, t1 = src._vnodes[t]
-                cached = self.make_vector_node(
-                    level + shift, rec((w0, t0)), rec((w1, t1))
-                )
-                memo[t] = cached
-            return self._scale(cached, conv(w))
+                cached = memo[t] = self._normalize(level + shift, *rec(w0, t0), *rec(w1, t1))
+            return (sval(w) * cached[0], cached[1])
 
-        return rec(e)
+        return self._intern(rec(*e))
 
     # ------------------------------------------------------------------
     # gate operators

@@ -257,15 +257,17 @@ class _AmpSum:
 
     def as_worker(self, w: int):
         self.acc = self.rows[w]
+        # every path's outer product is written into this one buffer
+        self.prod = np.empty((1 << (self.n - self.cut), 1 << self.cut), dtype=complex)
 
     def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
         upper = up.extract_statevector(ue, self.n - self.cut)
         lower = lo.extract_statevector(le, self.cut)
         t1 = time.perf_counter()
-        prod = np.multiply.outer(upper, lower)
+        np.multiply.outer(upper, lower, out=self.prod)
         t2 = time.perf_counter()
-        self.acc += prod.ravel()
+        self.acc += self.prod.ravel()
         times["extract"] += t1 - t0
         times["kron"] += t2 - t1
         times["add"] += time.perf_counter() - t2
@@ -462,9 +464,9 @@ def run_hybrid_amp(
 
     Cross-path diagrams are never added as diagrams.  Memory budget, in
     arrays of 2**n complex amplitudes: per worker, its accumulator plus one
-    per-path outer product; with more than one worker, the accumulators are
-    the rows of one shared mapping, which this process reads to sum them
-    into one new array.
+    outer-product buffer that every path reuses; with more than one worker,
+    the accumulators are the rows of one shared mapping, which this process
+    reads to sum them into one new array.
     """
     n = circuit.n
     if n > amp_cap:

@@ -1,10 +1,18 @@
 """Tolerance-canonicalized storage for complex edge weights.
 
-Every decision diagram hands its edge weights to a :class:`ComplexTable`,
-which maps numerically indistinguishable values (per-component absolute
-difference within ``tol``) onto one integer handle.  Handle equality then
-doubles as value equality, which is what makes node uniquing work: two
-structurally equal diagrams end up pointer-equal.
+Every decision diagram hands the edge weights it stores to a
+:class:`ComplexTable`, which maps numerically indistinguishable values
+(per-component absolute difference within ``tol``) onto one integer handle.
+Handle equality then doubles as value equality, which is what makes node
+uniquing work: two structurally equal diagrams end up pointer-equal.
+
+Only stored weights need a handle.  The diagram algebra keeps its
+intermediate values raw (plain Python ``complex``) and looks a value up only
+when a node stores it, when it keys a compute table, or when an edge is
+handed back to a caller (see :mod:`qcdd.dd`).  The handle arithmetic below
+(:meth:`ComplexTable.add`, :meth:`~ComplexTable.mul`,
+:meth:`~ComplexTable.div`) interns every result and serves the operator
+builder and the tests.
 
 Handles are only meaningful within the table that issued them.  A table is
 single-writer; concurrent simulations each own a private table and convert
@@ -40,11 +48,9 @@ class ComplexTable:
         self._vals: dict[int, complex] = {}
         self._buckets: dict[tuple[int, int], list[int]] = {}
         self._next = 0
-        # handle-pair result caches; weight pairs recur heavily during
-        # diagram traversals, so this skips most bucket probing
-        self._mul_cache: dict[tuple[int, int], int] = {}
-        self._div_cache: dict[tuple[int, int], int] = {}
-        self._add_cache: dict[tuple[int, int], int] = {}
+        # value -> handle of every value looked up since the last gc; the
+        # same raw values recur heavily, so this skips most bucket probing
+        self._exact: dict[complex, int] = {}
         if self.lookup(0j) != ZERO or self.lookup(1 + 0j) != ONE:
             raise AssertionError("reserved constants not first in table")
 
@@ -57,7 +63,12 @@ class ComplexTable:
         Values within ``tol`` (componentwise) of a stored representative
         return that representative's handle; in particular anything that
         close to 0 or 1 canonicalizes to the reserved ZERO/ONE handles.
+        A value looked up before (exactly equal) gets the same handle again
+        without a probe.
         """
+        h = self._exact.get(z)
+        if h is not None:
+            return h
         re = z.real
         im = z.imag
         if not (math.isfinite(re) and math.isfinite(im)):
@@ -73,6 +84,7 @@ class ComplexTable:
                 for h in got:
                     v = vals[h]
                     if abs(v.real - re) <= tol and abs(v.imag - im) <= tol:
+                        self._exact[z] = h
                         return h
         h = self._next
         self._next = h + 1
@@ -82,6 +94,7 @@ class ComplexTable:
             buckets[home].append(h)
         else:
             buckets[home] = [h]
+        self._exact[z] = h
         return h
 
     def val(self, h: int) -> complex:
@@ -96,14 +109,7 @@ class ComplexTable:
             return b
         if b == ZERO:
             return a
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        r = self._add_cache.get(key)
-        if r is None:
-            r = self.lookup(self._vals[a] + self._vals[b])
-            self._add_cache[key] = r
-        return r
+        return self.lookup(self._vals[a] + self._vals[b])
 
     def mul(self, a: int, b: int) -> int:
         if a == ZERO or b == ZERO:
@@ -112,14 +118,7 @@ class ComplexTable:
             return b
         if b == ONE:
             return a
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        r = self._mul_cache.get(key)
-        if r is None:
-            r = self.lookup(self._vals[a] * self._vals[b])
-            self._mul_cache[key] = r
-        return r
+        return self.lookup(self._vals[a] * self._vals[b])
 
     def div(self, a: int, b: int) -> int:
         if b == ZERO:
@@ -128,16 +127,11 @@ class ComplexTable:
             return ZERO
         if b == ONE:
             return a
-        key = (a, b)
-        r = self._div_cache.get(key)
-        if r is None:
-            r = self.lookup(self._vals[a] / self._vals[b])
-            self._div_cache[key] = r
-        return r
+        return self.lookup(self._vals[a] / self._vals[b])
 
     def cached(self) -> int:
-        """Entries in the arithmetic result caches (dropped by :meth:`gc`)."""
-        return len(self._mul_cache) + len(self._div_cache) + len(self._add_cache)
+        """Entries in the exact-value cache of :meth:`lookup` (dropped by :meth:`gc`)."""
+        return len(self._exact)
 
     def gc(self, live: set[int]) -> int:
         """Drop all entries outside ``live`` (reserved handles always stay)."""
@@ -152,7 +146,5 @@ class ComplexTable:
             for h, v in self._vals.items():
                 key = (round(v.real / tol), round(v.imag / tol))
                 self._buckets.setdefault(key, []).append(h)
-        self._mul_cache.clear()
-        self._div_cache.clear()
-        self._add_cache.clear()
+        self._exact.clear()
         return len(dead)

@@ -230,6 +230,19 @@ def test_config_file_sets_multi_value_flag(tmp_path, capsys):
     assert rec["n"] == 4
 
 
+def test_config_file_abbreviated_multi_value_key(tmp_path, capsys):
+    # a key that is a unique prefix names its flag, whose value is then split
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rand = 4 2 0 0.5\nstats = true\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rec["n"] == 4
+    # a prefix of two flags (--amp-cap, --amplitudes) is still refused
+    cfg.write_text("rand = 4 2 0 0.5\nam = 3\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "ambiguous" in capsys.readouterr().err
+
+
 def test_config_file_single_value_keeps_spaces(tmp_path, fig4_qasm, capsys):
     path = write_fig(tmp_path, fig4_qasm)
     out = tmp_path / "two words.txt"

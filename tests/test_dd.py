@@ -417,6 +417,24 @@ def test_homomorphism_multiply(seed):
     assert np.abs(v - ref).max() < 1e-10
 
 
+@pytest.mark.parametrize("n,depth,seed", [(10, 8, 0), (12, 10, 1)])
+def test_only_stored_weights_are_interned(n, depth, seed):
+    # add and multiply keep intermediate weights raw: besides the weights
+    # that nodes and edges store, the table holds only the add-memo ratios
+    # (a table that interned every intermediate value held about 6x as many)
+    c = generate_random_circuit(n, depth, seed, 0.7, "grid")
+    pkg = Package(gc_limit=10**9)
+    state = simulate(c, pkg)
+    assert pkg.gc_runs == 0
+    stored = {state[0]}
+    for key in pkg._vtable:
+        stored.update(key[1::2])
+    for key in pkg._mtable:
+        stored.update(key[1::2])
+    stored.update(w for w, _ in pkg._memo_op.values())
+    assert len(pkg.weights) <= 3 * len(stored)
+
+
 # ---------------------------------------------------------------------------
 # garbage collection
 

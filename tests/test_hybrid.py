@@ -399,6 +399,19 @@ def test_engines_agree_with_oracle(seed):
     assert abs(np.linalg.norm(ramp.vector) - 1) < 1e-9
 
 
+def test_drift_over_4096_paths():
+    # add and multiply carry raw intermediate weights and snap only stored
+    # ones to the table (each snap moves a value by up to tol = 1e-13), so
+    # measure the drift of a sum of 4096 path states against the oracle
+    c = generate_random_circuit(10, 12, 0, 0.7, "grid")
+    ref = dense_simulate(c)
+    rdd = run_hybrid_dd(c)
+    ramp = run_hybrid_amp(c)
+    assert rdd.path_count == ramp.path_count == 4096
+    assert np.abs(rdd.package.extract_statevector(rdd.state) - ref).max() < 1e-12
+    assert np.abs(ramp.vector - ref).max() < 1e-12
+
+
 def test_cross_engine_fidelity():
     c = generate_random_circuit(10, 5, seed=9, cz_density=0.25)
     pkg = Package()

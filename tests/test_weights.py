@@ -103,3 +103,14 @@ def test_gc_keeps_live_and_reserved():
     assert t.lookup(0.5 + 1e-15 + 0j) == keep
     h2 = t.lookup(0.25 + 0j)
     assert t.lookup(t.val(t.mul(h2, h2))) == t.mul(h2, h2)
+
+
+def test_exact_value_cache_is_counted_and_dropped_by_gc():
+    t = ComplexTable(tol=1e-13)
+    h = t.lookup(0.5 + 0j)
+    assert t.lookup(0.5 + 1e-15j) == h  # within tol: a probe, then cached
+    assert t.lookup(0.5 + 0j) == h  # exactly equal: from the cache
+    assert t.cached() == 4  # 0, 1 and the two values above
+    t.gc({h})
+    assert t.cached() == 0
+    assert t.lookup(0.5 + 1e-15j) == h
