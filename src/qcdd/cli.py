@@ -37,6 +37,13 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least one worker, got {n}")
+    return n
+
+
 def _load_config(path: str) -> dict[str, str]:
     out = {}
     with open(path) as f:
@@ -67,8 +74,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                        help="pair selection for --random CZ layers")
         p.add_argument("--cut", type=int, default=None,
                        help="cut position (lower block = qubits 0..cut-1); default n//2")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the hybrid engines (default: all cores)")
+        p.add_argument("--workers", type=_worker_count, default=None,
+                       help="worker processes for the hybrid engines, at least 1 (default: all cores)")
         p.add_argument("--tol", type=float, default=1e-13, help="weight canonicalization tolerance")
         p.add_argument("--amp-cap", type=int, default=30,
                        help="max qubits for dense extraction / amplitude accumulators")
@@ -97,7 +104,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     ben_p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ben_p.add_argument("--density", type=float, default=0.5)
     ben_p.add_argument("--pairing", choices=("any", "grid"), default="grid")
-    ben_p.add_argument("--workers", type=int, default=None)
+    ben_p.add_argument("--workers", type=_worker_count, default=None)
     ben_p.add_argument("--tol", type=float, default=1e-13)
     ben_p.add_argument("--timeout", type=float, default=300.0,
                        help="per-engine-run timeout in seconds")

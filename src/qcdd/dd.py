@@ -7,8 +7,11 @@ by the operator basis positions ``|0><0|, |0><1|, |1><0|, |1><1|``.
 Diagrams are fully expanded: a non-zero edge from level ``l`` always points
 to a node at level ``l - 1``, or to the terminal when ``l == 0``.
 
-Edges are plain ``(weight_handle, node_id)`` tuples.  Node id 0 is the
-terminal of both node spaces; the canonical zero edge is ``(ZERO, 0)``.
+Edges are plain ``(weight, node_id)`` tuples.  Node id 0 is the terminal
+of both node spaces; the canonical zero edge is ``(ZERO, 0)``.  A weight
+that a node stores, or that an edge handed back to a caller carries, is a
+representative of the package's :class:`~qcdd.weights.ComplexTable`, so
+weights compare by plain equality.
 Nodes are normalized by dividing the successor weights by the one of
 largest magnitude, leftmost among magnitudes within ``tol`` of each other
 (the factor is pulled into the incoming edge), and uniqued in a hash table,
@@ -16,9 +19,9 @@ so equal sub-vectors share one node and equal diagrams compare equal as
 edge tuples.
 
 Inside ``add``, ``multiply`` and ``import_edge`` intermediate weights stay
-raw: the recursions pass and return ``(complex, node_id)`` pairs and never
-round a sum or product through the weight table.  Only three kinds of value
-are interned: a node's successor ratio (in :meth:`Package._normalize`), the
+raw: the recursions pass and return edges whose weights are plain products
+and sums, never rounded through the weight table.  Only three kinds of value
+are looked up: a node's successor ratio (in :meth:`Package._normalize`), the
 ratio of two operands that keys the add memo, and the weight of the edge
 handed back to the caller.  A raw value within ``tol`` of 0 in both
 components counts as zero, as it would after a lookup.
@@ -28,8 +31,8 @@ weight table, and is strictly single-writer.  Operator diagrams are
 memoized by content for the package's lifetime and are the only roots of
 the matrix node space, which garbage collection therefore never sweeps.
 Parallel simulation runs one package per block per worker and never shares
-one across workers; results are moved between packages by value with
-:meth:`Package.import_edge`.
+one across workers; node ids mean nothing outside their package, so results
+are moved between packages with :meth:`Package.import_edge`.
 """
 
 from __future__ import annotations
@@ -41,12 +44,10 @@ import numpy as np
 from .circuit import CapacityError
 from .weights import ONE, ZERO, ComplexTable
 
-Edge = tuple[int, int]
-RawEdge = tuple[complex, int]
+Edge = tuple[complex, int]
 
 ZERO_EDGE: Edge = (ZERO, 0)
 ONE_EDGE: Edge = (ONE, 0)
-RAW_ZERO: RawEdge = (0j, 0)
 
 
 class Package:
@@ -96,14 +97,14 @@ class Package:
             self._bump_peak()
         return node
 
-    def _normalize(self, level: int, w0: complex, t0: int, w1: complex, t1: int) -> RawEdge:
+    def _normalize(self, level: int, w0: complex, t0: int, w1: complex, t1: int) -> Edge:
         """Normalize and unique a prospective node given raw successor
-        weights; returns its raw-weight edge.
+        weights; returns its edge, whose weight is still raw.
 
         A weight within ``tol`` of 0 counts as zero, and an all-zero node
         collapses to the zero edge.  Otherwise the successor weight of
         largest magnitude is returned as the edge weight, and the other one
-        is divided by it; that ratio is the only value interned.  Magnitudes
+        is divided by it; that ratio is the only value looked up.  Magnitudes
         within ``tol`` are a tie, which the left successor wins, so a
         last-bit rounding difference cannot pick another divisor for the
         same sub-vector.  Stored weights thus stay at magnitude 1 up to a tie
@@ -114,7 +115,7 @@ class Package:
         tol = self.weights.tol
         if -tol <= w0.real <= tol and -tol <= w0.imag <= tol:
             if -tol <= w1.real <= tol and -tol <= w1.imag <= tol:
-                return RAW_ZERO
+                return ZERO_EDGE
             return (w1, self._unique((level, ZERO, 0, ONE, t1)))
         if -tol <= w1.real <= tol and -tol <= w1.imag <= tol:
             return (w0, self._unique((level, ONE, t0, ZERO, 0)))
@@ -126,24 +127,23 @@ class Package:
         key = (level, ONE, t0, ZERO, 0) if r == ZERO else (level, ONE, t0, r, t1)
         return (w0, self._unique(key))
 
-    def _intern(self, e: RawEdge) -> Edge:
-        """The handle edge of a raw-weight edge (a weight that looks up as
-        ZERO gives the canonical zero edge)."""
-        h = self.weights.lookup(e[0])
-        return (h, e[1]) if h != ZERO else ZERO_EDGE
+    def _intern(self, e: Edge) -> Edge:
+        """The edge with its weight replaced by the representative (a weight
+        that looks up as ZERO gives the canonical zero edge)."""
+        w = self.weights.lookup(e[0])
+        return (w, e[1]) if w != ZERO else ZERO_EDGE
 
     def make_vector_node(self, level: int, e0: Edge, e1: Edge) -> Edge:
-        """Normalize and unique a prospective node given handle successor
-        edges; returns its canonical edge (see :meth:`_normalize`)."""
-        val = self.weights.val
-        return self._intern(self._normalize(level, val(e0[0]), e0[1], val(e1[0]), e1[1]))
+        """Normalize and unique a prospective node given its successor edges;
+        returns its canonical edge (see :meth:`_normalize`)."""
+        return self._intern(self._normalize(level, *e0, *e1))
 
     def make_matrix_node(self, level: int, succ: Iterable[Edge]) -> Edge:
         """Matrix-node analog of :meth:`make_vector_node` (four successors;
         the leftmost within ``tol`` of the largest magnitude is divided out)."""
         succ = list(succ)
         wt = self.weights
-        mags = [abs(wt.val(w)) if w != ZERO else -1.0 for w, _ in succ]
+        mags = [abs(w) if w != ZERO else -1.0 for w, _ in succ]
         best = max(mags)
         if best < 0:
             return ZERO_EDGE
@@ -194,7 +194,7 @@ class Package:
         if size != 1 << n:
             raise ValueError(f"length {size} is not a power of two")
 
-        def build(lo: int, hi: int, level: int) -> RawEdge:
+        def build(lo: int, hi: int, level: int) -> Edge:
             if level < 0:
                 return (complex(vec[lo]), 0)
             mid = (lo + hi) // 2
@@ -217,11 +217,11 @@ class Package:
         if t == 0:
             if bits:
                 raise ValueError("bit string given for a scalar edge")
-            return self.weights.val(w)
+            return w
         entry = self._vnodes[t]
         if entry[0] != len(bits) - 1:
             raise ValueError(f"bit string length {len(bits)} != {entry[0] + 1} qubits")
-        amp = self.weights.val(w)
+        amp = w
         for ch in bits:
             if ch == "0":
                 wc, tc = entry[1], entry[2]
@@ -231,7 +231,7 @@ class Package:
                 raise ValueError(f"bad bit {ch!r} in {bits!r}")
             if wc == ZERO:
                 return 0j
-            amp *= self.weights.val(wc)
+            amp *= wc
             if tc == 0:
                 break
             entry = self._vnodes[tc]
@@ -262,11 +262,10 @@ class Package:
             if w != ZERO:
                 if n != 0:
                     raise ValueError("scalar edge extracted with n > 0")
-                out[0] = self.weights.val(w)
+                out[0] = w
             return out
         if self._vnodes[t][0] != n - 1:
             raise ValueError(f"edge has {self._vnodes[t][0] + 1} qubits, asked for {n}")
-        val = self.weights.val
         nodes = self._vnodes
         first = np.full(len(nodes), -1, dtype=np.int64)  # offset of each node's first slice
 
@@ -294,16 +293,16 @@ class Package:
             half = 1 << level
             if w0 != ZERO:
                 if t0:
-                    fill(t0, off, f * val(w0))
+                    fill(t0, off, f * w0)
                 else:
-                    out[off] = f * val(w0)
+                    out[off] = f * w0
             if w1 != ZERO:
                 if t1:
-                    fill(t1, off + half, f * val(w1))
+                    fill(t1, off + half, f * w1)
                 else:
-                    out[off + half] = f * val(w1)
+                    out[off + half] = f * w1
 
-        fill(t, 0, val(w))
+        fill(t, 0, w)
         return out
 
     def reachable(self, roots: Iterable[Edge]) -> set[int]:
@@ -328,7 +327,6 @@ class Package:
         w, t = e
         if w == ZERO:
             return 0.0
-        val = self.weights.val
         nodes = self._vnodes
         cache: dict[int, float] = {}
 
@@ -340,18 +338,18 @@ class Package:
                 _, w0, t0, w1, t1 = nodes[node]
                 r = 0.0
                 if w0 != ZERO:
-                    r += abs(val(w0)) ** 2 * n2(t0)
+                    r += abs(w0) ** 2 * n2(t0)
                 if w1 != ZERO:
-                    r += abs(val(w1)) ** 2 * n2(t1)
+                    r += abs(w1) ** 2 * n2(t1)
                 cache[node] = r
             return r
 
-        return abs(val(w)) * n2(t) ** 0.5
+        return abs(w) * n2(t) ** 0.5
 
     # ------------------------------------------------------------------
     # algebra
 
-    def _scale(self, e: Edge, w: int) -> Edge:
+    def _scale(self, e: Edge, w: complex) -> Edge:
         if w == ONE:
             return e
         if w == ZERO or e[0] == ZERO:
@@ -368,10 +366,9 @@ class Package:
     def add(self, a: Edge, b: Edge) -> Edge:
         """Elementwise sum of two vector diagrams of equal qubit count."""
         self._check_same_qubits(a, b)
-        val = self.weights.val
-        return self._intern(self._add((val(a[0]), a[1]), (val(b[0]), b[1])))
+        return self._intern(self._add(a, b))
 
-    def _add(self, a: RawEdge, b: RawEdge) -> RawEdge:
+    def _add(self, a: Edge, b: Edge) -> Edge:
         wa, ta = a
         wb, tb = b
         tol = self.weights.tol
@@ -385,7 +382,7 @@ class Package:
             raise ValueError("adding vectors of different qubit counts")
         if ta > tb:
             wa, ta, wb, tb = wb, tb, wa, ta
-        # a + b = wa * (A + r B): the memo holds A + r B under the interned r
+        # a + b = wa * (A + r B): the memo holds A + r B under the representative r
         r = self.weights.lookup(wb / wa)
         if r == ZERO:
             return (wa, ta)
@@ -396,10 +393,8 @@ class Package:
             lb, b0w, b0t, b1w, b1t = self._vnodes[tb]
             if la != lb:
                 raise ValueError("adding vectors of different qubit counts")
-            val = self.weights.val
-            rv = val(r)
-            w0, t0 = self._add((val(a0w), a0t), (rv * val(b0w), b0t))
-            w1, t1 = self._add((val(a1w), a1t), (rv * val(b1w), b1t))
+            w0, t0 = self._add((a0w, a0t), (r * b0w, b0t))
+            w1, t1 = self._add((a1w, a1t), (r * b1w, b1t))
             res = self._normalize(la, w0, t0, w1, t1)
             self._memo_add[key] = res
         return (wa * res[0], res[1])
@@ -415,14 +410,13 @@ class Package:
             )
         return self._intern(self._mv(m, v))
 
-    def _mv(self, m: Edge, v: Edge) -> RawEdge:
-        """Product of two handle edges (stored successors) as a raw edge."""
+    def _mv(self, m: Edge, v: Edge) -> Edge:
+        """Product of two stored edges as an edge with a raw weight."""
         wm, tm = m
         wv, tv = v
         if wm == ZERO or wv == ZERO:
-            return RAW_ZERO
-        val = self.weights.val
-        w = val(wm) * val(wv)
+            return ZERO_EDGE
+        w = wm * wv
         if tm == 0 and tv == 0:
             return (w, 0)
         if tm == 0 or tv == 0:
@@ -446,27 +440,29 @@ class Package:
         """Copy a vector diagram from ``src`` into this package.
 
         ``shift`` raises every level by that amount; ``splice`` (an edge of
-        this package) replaces the terminal, which is exactly the Kronecker
-        product when ``shift`` equals the splice's qubit count.  Weights are
-        converted by value and every node is normalized again here, so this
-        is the one sanctioned way to move results between per-worker
-        packages.
+        this package) replaces the terminal, which gives the Kronecker
+        product.  ``shift`` must therefore equal the splice's qubit count (0
+        for a scalar or absent splice; a zero splice fits any shift).
+        Every node is normalized again here, so the weights it stores are
+        representatives of this package's table; this is the one sanctioned
+        way to move results between per-worker packages.
         """
         sw, st = ONE_EDGE if splice is None else splice
-        swv = self.weights.val(sw)
-        sval = src.weights.val
-        memo: dict[int, RawEdge] = {}
+        width = self._vnodes[st][0] + 1 if st else 0
+        if shift < 0 or (sw != ZERO and width != shift):
+            raise ValueError(f"shift {shift} does not match a splice of {width} qubit(s)")
+        memo: dict[int, Edge] = {}
 
-        def rec(w: int, t: int) -> RawEdge:
+        def rec(w: complex, t: int) -> Edge:
             if w == ZERO:
-                return RAW_ZERO
+                return ZERO_EDGE
             if t == 0:
-                return (swv * sval(w), st)
+                return (sw * w, st)
             cached = memo.get(t)
             if cached is None:
                 level, w0, t0, w1, t1 = src._vnodes[t]
                 cached = memo[t] = self._normalize(level + shift, *rec(w0, t0), *rec(w1, t1))
-            return (sval(w) * cached[0], cached[1])
+            return (w * cached[0], cached[1])
 
         return self._intern(rec(*e))
 
@@ -542,7 +538,7 @@ class Package:
                 reclaimed += 1
         self._memo_add.clear()
         self._memo_mul.clear()
-        live_w: set[int] = set()
+        live_w: set[complex] = set()
         for entry in self._vtable:
             live_w.add(entry[1])
             live_w.add(entry[3])

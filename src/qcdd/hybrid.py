@@ -420,11 +420,14 @@ def _run_paths(circuit, partition, workers, check_norm, summer):
     A summer is told the worker count by ``open`` before any fork, and
     which worker's paths it sums by ``as_worker``; a forked worker replies
     with ``ship()``, and ``total`` gives the run's sum from those replies
-    (``None`` when the paths were summed in this process).
+    (``None`` when the paths were summed in this process).  ``workers``
+    below 1 raises ``ValueError``; ``None`` means 1.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     cls = classify(circuit, partition)
     total = cls.path_count
-    workers = max(1, min(workers or 1, total))
+    workers = min(workers or 1, total)
     t_start = time.perf_counter()
     summer.open(workers)
     if workers == 1:

@@ -7,6 +7,7 @@ import pytest
 from qcdd.cli import main
 from qcdd.qasm import to_qasm
 from qcdd.circuit import Circuit, Gate
+from qcdd.hybrid import run_hybrid_amp, run_hybrid_dd
 from conftest import FIG_STATE
 
 
@@ -158,6 +159,18 @@ def test_run_topology_exit_code(tmp_path, capsys):
     # the parser rejects it (exit 2): multi-controlled gates are not in the subset
     assert main(["run", str(path), "--mode", "hybrid-dd"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_is_rejected(tmp_path, fig4_qasm, fig4, capsys, workers):
+    for run in (run_hybrid_dd, run_hybrid_amp):
+        with pytest.raises(ValueError, match="worker"):
+            run(fig4, workers=workers)
+    path = write_fig(tmp_path, fig4_qasm)
+    for cmd in (["run", path, "--mode", "hybrid-dd"], ["run", path, "--mode", "hybrid-amp"],
+                ["bench", "--qubits", "4", "--depths", "2", "--seeds", "0"]):
+        assert main([*cmd, "--workers", str(workers)]) == 2
+        assert "worker" in capsys.readouterr().err
 
 
 def test_run_invalid_cut(tmp_path, fig4_qasm, capsys):

@@ -69,7 +69,7 @@ def test_normalize_uniform_pair():
     pkg = Package()
     h = pkg.weights.lookup(complex(SQ2, 0))
     e = pkg.make_vector_node(0, (h, 0), (h, 0))
-    assert pkg.weights.val(e[0]) == pytest.approx(SQ2)
+    assert e[0] == pytest.approx(SQ2)
     _, w0, _, w1, _ = pkg._vnodes[e[1]]
     assert w0 == ONE and w1 == ONE
 
@@ -90,7 +90,7 @@ def test_normalize_reconstructs_values():
     # normalization divides by the largest-magnitude successor weight
     _, w0, _, w1, _ = pkg._vnodes[e[1]]
     assert w1 == ONE
-    assert abs(pkg.weights.val(e[0]) - 0.8j) < 1e-14
+    assert abs(e[0] - 0.8j) < 1e-14
 
 
 def test_normalized_weights_bounded():
@@ -106,7 +106,7 @@ def test_normalized_weights_bounded():
             if w == ZERO:
                 assert t == 0
             else:
-                assert abs(pkg.weights.val(w)) <= 1 + 1e-12
+                assert abs(w) <= 1 + 1e-12
 
 
 def test_normalize_near_tie_is_one_node():
@@ -307,7 +307,7 @@ def test_kron_root_weight_is_product():
     a = pkg.from_statevector(np.array([0.5, 0.5]))
     b = pkg.from_statevector(np.array([0.25, 0.25]))
     k = pkg.import_edge(pkg, a, shift=1, splice=b)
-    assert abs(pkg.weights.val(k[0]) - pkg.weights.val(a[0]) * pkg.weights.val(b[0])) < 1e-13
+    assert abs(k[0] - a[0] * b[0]) < 1e-13
 
 
 def test_norm_matches_numpy():
@@ -435,6 +435,70 @@ def test_only_stored_weights_are_interned(n, depth, seed):
     assert len(pkg.weights) <= 3 * len(stored)
 
 
+# entries that make sharing, cancellation and near-ties likely
+PALETTE = (0, 0, 1, -1, 0.5, SQ2, -SQ2 * 1j, 0.6 + 0.8j, 0.3 - 0.1j)
+GATES_1Q = (
+    np.array([[1, 1], [1, -1]]) * SQ2,
+    np.array([[0, 1], [1, 0]]),
+    np.array([[1, 0], [0, 1j]]),
+    np.array([[1, 0], [0, np.exp(0.25j * np.pi)]]),
+)
+
+
+def assert_representatives(pkg, edges):
+    """Every weight a live node stores, and every edge weight given, looks
+    up as itself without adding a representative."""
+    size = len(pkg.weights)
+    lookup = pkg.weights.lookup
+    for entry in (*pkg._vtable, *pkg._mtable):
+        for w in entry[1::2]:
+            assert lookup(w) == w
+    for w, _ in edges:
+        assert lookup(w) == w
+    assert len(pkg.weights) == size
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_stored_weights_are_representatives(data):
+    n = data.draw(st.integers(1, 4))
+
+    def vector(k):
+        return np.array(data.draw(st.lists(st.sampled_from(PALETTE), min_size=1 << k,
+                                           max_size=1 << k)), dtype=complex)
+
+    pkg = Package(gc_limit=30)
+    src = Package(gc_limit=30)
+    live = []  # (edge, dense vector) pairs; every root of pkg
+    for op in data.draw(st.lists(st.sampled_from(["vec", "add", "mul", "import"]),
+                                 min_size=1, max_size=10)):
+        if op == "vec" or not live:
+            v = vector(n)
+            e = pkg.from_statevector(v)
+        elif op == "add":
+            (a, va), (b, vb) = data.draw(st.sampled_from(live)), data.draw(st.sampled_from(live))
+            e, v = pkg.add(a, b), va + vb
+        elif op == "mul":
+            a, va = data.draw(st.sampled_from(live))
+            q = data.draw(st.integers(0, n - 1))
+            gate = data.draw(st.sampled_from(GATES_1Q))
+            e, v = pkg.multiply(pkg.matrix_dd(n, (q,), gate), a), apply_matrix(va, gate, (q,), n)
+        else:
+            m = data.draw(st.integers(1, n))
+            vu = vector(m)
+            vl = vector(n - m) if m < n else np.ones(1)
+            upper = src.from_statevector(vu)
+            lower = pkg.from_statevector(vl) if m < n else None
+            e, v = pkg.import_edge(src, upper, shift=n - m, splice=lower), np.kron(vu, vl)
+            src.maybe_gc()
+        live.append((e, v))
+        assert_representatives(pkg, [e])
+        pkg.maybe_gc([e for e, _ in live])
+        assert_representatives(pkg, [e for e, _ in live])
+    for e, v in live:
+        assert np.abs(pkg.extract_statevector(e, n) - v).max() < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # garbage collection
 
@@ -528,6 +592,19 @@ def test_import_edge_shift_and_splice_is_kron():
     eb = dst.from_statevector(b)
     k = dst.import_edge(src, ea, shift=2, splice=eb)
     assert np.abs(dst.extract_statevector(k, 5) - np.kron(a, b)).max() < 1e-10
+
+
+def test_import_edge_rejects_bad_shift():
+    pkg = Package()
+    two = pkg.from_statevector(np.array([0.5, 0.5, 0.5, 0.5]))
+    one = pkg.from_statevector(np.array([0.6, 0.8]))
+    for shift, splice in ((3, one), (0, one), (1, None), (1, ONE_EDGE), (-1, None)):
+        with pytest.raises(ValueError, match="shift"):
+            pkg.import_edge(pkg, two, shift=shift, splice=splice)
+    # a zero splice fits any shift: the product is the zero vector
+    assert pkg.import_edge(pkg, two, shift=2, splice=ZERO_EDGE) == ZERO_EDGE
+    k = pkg.import_edge(pkg, two, shift=1, splice=one)
+    assert np.abs(pkg.extract_statevector(k, 3) - np.kron([0.5] * 4, [0.6, 0.8])).max() < 1e-13
 
 
 def test_reachable_vector_and_matrix_spaces():

@@ -16,8 +16,8 @@ def test_reserved_handles():
     t = ComplexTable()
     assert t.lookup(0j) == ZERO
     assert t.lookup(1 + 0j) == ONE
-    assert t.val(ZERO) == 0
-    assert t.val(ONE) == 1
+    assert ZERO == 0
+    assert ONE == 1
 
 
 def test_tolerance_canonicalization():
@@ -56,7 +56,7 @@ def test_division():
     a = t.lookup(0.8j)
     b = t.lookup(0.6 + 0j)
     q = t.div(a, b)
-    assert t.val(q) == pytest.approx(0.8j / 0.6)
+    assert q == pytest.approx(0.8j / 0.6)
     assert t.div(a, ONE) == a
     with pytest.raises(ZeroDivisionError):
         t.div(a, ZERO)
@@ -67,7 +67,7 @@ def test_division():
 def test_lookup_idempotent(z):
     t = ComplexTable()
     h = t.lookup(z)
-    assert t.lookup(t.val(h)) == h
+    assert t.lookup(h) == h
 
 
 @given(values, values)
@@ -76,8 +76,8 @@ def test_arithmetic_closure(a, b):
     t = ComplexTable()
     ha, hb = t.lookup(a), t.lookup(b)
     for h in (t.add(ha, hb), t.mul(ha, hb)):
-        # result is a canonical handle: looking its value up returns itself
-        assert t.lookup(t.val(h)) == h
+        # result is a representative: looking it up returns itself
+        assert t.lookup(h) == h
 
 
 @given(values)
@@ -95,14 +95,16 @@ def test_gc_keeps_live_and_reserved():
     drop = t.lookup(0.25 + 0j)
     reclaimed = t.gc({keep})
     assert reclaimed == 1
-    assert t.val(keep) == 0.5
-    assert t.val(ZERO) == 0 and t.val(ONE) == 1
-    with pytest.raises(KeyError):
-        t.val(drop)
+    assert len(t) == 3  # 0, 1 and keep
+    assert t.lookup(0j) == ZERO and t.lookup(1 + 0j) == ONE
+    # a value within tol of the dropped representative becomes a new one
+    near = drop + 5e-14
+    assert t.lookup(near) == near != drop
+    assert len(t) == 4
     # table still canonicalizes correctly after the sweep
     assert t.lookup(0.5 + 1e-15 + 0j) == keep
     h2 = t.lookup(0.25 + 0j)
-    assert t.lookup(t.val(t.mul(h2, h2))) == t.mul(h2, h2)
+    assert t.lookup(t.mul(h2, h2)) == t.mul(h2, h2)
 
 
 def test_exact_value_cache_is_counted_and_dropped_by_gc():
