@@ -21,6 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qcdd.bench import run_bench, write_csv, COLUMNS  # noqa: E402
 from qcdd.circuit import generate_random_circuit  # noqa: E402
+from qcdd.cli import worker_count  # noqa: E402
 from qcdd.hybrid import classify, default_partition  # noqa: E402
 
 
@@ -33,7 +34,8 @@ def main() -> int:
     ap.add_argument("--min-decisions", type=int, default=2)
     ap.add_argument("--max-decisions", type=int, default=6)
     ap.add_argument("--timeout", type=float, default=300.0)
-    ap.add_argument("--workers", type=int, default=None)
+    ap.add_argument("--workers", type=worker_count, default=None,
+                    help="worker processes per engine run, at least 1 (default: all cores)")
     ap.add_argument("--csv", default=None)
     args = ap.parse_args()
 

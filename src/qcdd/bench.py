@@ -130,7 +130,10 @@ def run_bench(
     tol: float = 1e-13,
     verify: bool = False,
 ) -> list[BenchRow]:
-    """Generate one circuit per (n, depth, seed) and time each engine on it."""
+    """Generate one circuit per (n, depth, seed) and time each engine on it
+    (``workers=None``: all cores)."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     workers = workers or os.cpu_count() or 1
     rows = []
     for n in ns:

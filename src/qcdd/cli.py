@@ -37,7 +37,8 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _worker_count(text: str) -> int:
+def worker_count(text: str) -> int:
+    """Argument type of a ``--workers`` flag: an integer of at least 1."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"need at least one worker, got {n}")
@@ -74,12 +75,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                        help="pair selection for --random CZ layers")
         p.add_argument("--cut", type=int, default=None,
                        help="cut position (lower block = qubits 0..cut-1); default n//2")
-        p.add_argument("--workers", type=_worker_count, default=None,
+        p.add_argument("--workers", type=worker_count, default=None,
                        help="worker processes for the hybrid engines, at least 1 (default: all cores)")
         p.add_argument("--tol", type=float, default=1e-13, help="weight canonicalization tolerance")
         p.add_argument("--amp-cap", type=int, default=30,
                        help="max qubits for dense extraction / amplitude accumulators")
-        p.add_argument("--dense-cap", type=int, default=14, help="max qubits for the dense oracle")
         p.add_argument("--config", help="key=value file of defaults; command-line flags win")
 
     run_p = sub.add_parser("run", help="simulate with one engine")
@@ -95,6 +95,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
 
     ver_p = sub.add_parser("verify", help="cross-check all engines and the oracle")
     add_circuit_args(ver_p)
+    ver_p.add_argument("--dense-cap", type=int, default=14, help="max qubits for the dense oracle")
     ver_p.add_argument("--tol-verify", type=float, default=1e-9,
                        help="max allowed elementwise deviation")
 
@@ -104,7 +105,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     ben_p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ben_p.add_argument("--density", type=float, default=0.5)
     ben_p.add_argument("--pairing", choices=("any", "grid"), default="grid")
-    ben_p.add_argument("--workers", type=_worker_count, default=None)
+    ben_p.add_argument("--workers", type=worker_count, default=None)
     ben_p.add_argument("--tol", type=float, default=1e-13)
     ben_p.add_argument("--timeout", type=float, default=300.0,
                        help="per-engine-run timeout in seconds")

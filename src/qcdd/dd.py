@@ -7,11 +7,13 @@ by the operator basis positions ``|0><0|, |0><1|, |1><0|, |1><1|``.
 Diagrams are fully expanded: a non-zero edge from level ``l`` always points
 to a node at level ``l - 1``, or to the terminal when ``l == 0``.
 
-Edges are plain ``(weight, node_id)`` tuples.  Node id 0 is the terminal
-of both node spaces; the canonical zero edge is ``(ZERO, 0)``.  A weight
-that a node stores, or that an edge handed back to a caller carries, is a
-representative of the package's :class:`~qcdd.weights.ComplexTable`, so
-weights compare by plain equality.
+Edges are plain ``(weight, node_id)`` tuples.  Vector and matrix nodes
+share one unique table and one id space; a node's kind is the length of its
+key (5 for a vector node, 9 for a matrix node).  Node id 0 is the terminal;
+the canonical zero edge is ``(ZERO, 0)``.  A weight that a node stores, or
+that an edge handed back to a caller carries, is a representative of the
+package's :class:`~qcdd.weights.ComplexTable`, so weights compare by plain
+equality.
 Nodes are normalized by dividing the successor weights by the one of
 largest magnitude, leftmost among magnitudes within ``tol`` of each other
 (the factor is pulled into the incoming edge), and uniqued in a hash table,
@@ -26,10 +28,10 @@ ratio of two operands that keys the add memo, and the weight of the edge
 handed back to the caller.  A raw value within ``tol`` of 0 in both
 components counts as zero, as it would after a lookup.
 
-A :class:`Package` owns the unique tables, the memoization caches, and the
+A :class:`Package` owns the unique table, the memoization caches, and the
 weight table, and is strictly single-writer.  Operator diagrams are
-memoized by content for the package's lifetime and are the only roots of
-the matrix node space, which garbage collection therefore never sweeps.
+memoized by content until the next garbage collection, which sweeps matrix
+nodes like vector nodes and drops that memo with the compute tables.
 Parallel simulation runs one package per block per worker and never shares
 one across workers; node ids mean nothing outside their package, so results
 are moved between packages with :meth:`Package.import_edge`.
@@ -57,16 +59,14 @@ class Package:
         self.weights = ComplexTable(tol)
         self.extract_cap = extract_cap
         self.gc_limit = gc_limit
-        # id -> (level, w0, t0, w1, t1); id 0 is the terminal
-        self._vnodes: list[tuple | None] = [None]
-        self._vtable: dict[tuple, int] = {}
-        self._vfree: list[int] = []
-        # id -> (level, w0, t0, w1, t1, w2, t2, w3, t3); never freed
-        self._mnodes: list[tuple | None] = [None]
-        self._mtable: dict[tuple, int] = {}
-        # (n, qubits, matrix bytes) -> operator diagram; gc roots of the matrix space
+        # id -> (level, w0, t0, w1, t1) for a vector node or
+        # (level, w0, t0, w1, t1, w2, t2, w3, t3) for a matrix node; id 0 is the terminal
+        self._nodes: list[tuple | None] = [None]
+        self._table: dict[tuple, int] = {}
+        self._free: list[int] = []
+        # (n, qubits, matrix bytes) -> operator diagram, and the compute
+        # tables of raw-weight results; all dropped wholesale on gc
         self._memo_op: dict[tuple, Edge] = {}
-        # compute tables of raw-weight results, dropped wholesale on gc
         self._memo_add: dict = {}
         self._memo_mul: dict = {}
         self.peak_nodes = 0
@@ -76,26 +76,29 @@ class Package:
     # node construction (the normalization scheme lives here)
 
     def live_nodes(self) -> int:
-        return len(self._vtable) + len(self._mtable)
-
-    def _bump_peak(self):
-        live = len(self._vtable) + len(self._mtable)
-        if live > self.peak_nodes:
-            self.peak_nodes = live
+        return len(self._table)
 
     def _unique(self, key: tuple) -> int:
-        """Id of the vector node ``key``, made if it does not exist yet."""
-        node = self._vtable.get(key)
+        """Id of the node ``key`` (vector or matrix), made if it is new."""
+        node = self._table.get(key)
         if node is None:
-            if self._vfree:
-                node = self._vfree.pop()
-                self._vnodes[node] = key
+            if self._free:
+                node = self._free.pop()
+                self._nodes[node] = key
             else:
-                node = len(self._vnodes)
-                self._vnodes.append(key)
-            self._vtable[key] = node
-            self._bump_peak()
+                node = len(self._nodes)
+                self._nodes.append(key)
+            self._table[key] = node
+            if len(self._table) > self.peak_nodes:
+                self.peak_nodes = len(self._table)
         return node
+
+    def _vector_root(self, t: int) -> tuple:
+        """The node a caller's edge points to, checked to be a vector node."""
+        entry = self._nodes[t]
+        if len(entry) != 5:
+            raise ValueError("expected a vector diagram, got a matrix one")
+        return entry
 
     def _normalize(self, level: int, w0: complex, t0: int, w1: complex, t1: int) -> Edge:
         """Normalize and unique a prospective node given raw successor
@@ -158,14 +161,7 @@ class Package:
             else:
                 nw = wt.div(w, norm)
                 parts.extend((ZERO, 0) if nw == ZERO else (nw, t))
-        key = (level, *parts)
-        node = self._mtable.get(key)
-        if node is None:
-            node = len(self._mnodes)
-            self._mnodes.append(key)
-            self._mtable[key] = node
-            self._bump_peak()
-        return (norm, node)
+        return (norm, self._unique((level, *parts)))
 
     # ------------------------------------------------------------------
     # vector constructors
@@ -218,7 +214,7 @@ class Package:
             if bits:
                 raise ValueError("bit string given for a scalar edge")
             return w
-        entry = self._vnodes[t]
+        entry = self._vector_root(t)
         if entry[0] != len(bits) - 1:
             raise ValueError(f"bit string length {len(bits)} != {entry[0] + 1} qubits")
         amp = w
@@ -234,7 +230,7 @@ class Package:
             amp *= wc
             if tc == 0:
                 break
-            entry = self._vnodes[tc]
+            entry = self._nodes[tc]
         return amp
 
     def extract_statevector(self, e: Edge, n: int | None = None) -> np.ndarray:
@@ -248,11 +244,9 @@ class Package:
         keeps one offset per node slot.  Refuses ``n`` above ``extract_cap``.
         """
         w, t = e
+        width = self._vector_root(t)[0] + 1 if t else 0
         if n is None:
-            if t == 0:
-                n = 0
-            else:
-                n = self._vnodes[t][0] + 1
+            n = width
         if n > self.extract_cap:
             raise CapacityError(
                 f"extraction of 2**{n} amplitudes exceeds the cap of 2**{self.extract_cap}"
@@ -264,9 +258,9 @@ class Package:
                     raise ValueError("scalar edge extracted with n > 0")
                 out[0] = w
             return out
-        if self._vnodes[t][0] != n - 1:
-            raise ValueError(f"edge has {self._vnodes[t][0] + 1} qubits, asked for {n}")
-        nodes = self._vnodes
+        if width != n:
+            raise ValueError(f"edge has {width} qubits, asked for {n}")
+        nodes = self._nodes
         first = np.full(len(nodes), -1, dtype=np.int64)  # offset of each node's first slice
 
         def pivot(node: int) -> int:
@@ -306,8 +300,8 @@ class Package:
         return out
 
     def reachable(self, roots: Iterable[Edge]) -> set[int]:
-        """Ids of the vector nodes reachable from ``roots`` (terminal excluded)."""
-        nodes = self._vnodes
+        """Ids of the nodes reachable from ``roots`` (terminal excluded)."""
+        nodes = self._nodes
         seen = {0}
         stack = [t for _, t in roots]
         while stack:
@@ -327,7 +321,7 @@ class Package:
         w, t = e
         if w == ZERO:
             return 0.0
-        nodes = self._vnodes
+        nodes = self._nodes
         cache: dict[int, float] = {}
 
         def n2(node: int) -> float:
@@ -358,9 +352,9 @@ class Package:
 
     def _check_same_qubits(self, a: Edge, b: Edge):
         ta, tb = a[1], b[1]
-        if ta and tb and self._vnodes[ta][0] != self._vnodes[tb][0]:
+        if ta and tb and self._nodes[ta][0] != self._nodes[tb][0]:
             raise ValueError(
-                f"qubit count mismatch: {self._vnodes[ta][0] + 1} vs {self._vnodes[tb][0] + 1}"
+                f"qubit count mismatch: {self._nodes[ta][0] + 1} vs {self._nodes[tb][0] + 1}"
             )
 
     def add(self, a: Edge, b: Edge) -> Edge:
@@ -389,8 +383,8 @@ class Package:
         key = (ta, tb, r)
         res = self._memo_add.get(key)
         if res is None:
-            la, a0w, a0t, a1w, a1t = self._vnodes[ta]
-            lb, b0w, b0t, b1w, b1t = self._vnodes[tb]
+            la, a0w, a0t, a1w, a1t = self._nodes[ta]
+            lb, b0w, b0t, b1w, b1t = self._nodes[tb]
             if la != lb:
                 raise ValueError("adding vectors of different qubit counts")
             w0, t0 = self._add((a0w, a0t), (r * b0w, b0t))
@@ -403,10 +397,14 @@ class Package:
         """Matrix-vector product: the block recursion
         ``(U00*v0 + U01*v1, U10*v0 + U11*v1)`` with memoization."""
         tm, tv = m[1], v[1]
-        if tm and tv and self._mnodes[tm][0] != self._vnodes[tv][0]:
+        nodes = self._nodes
+        if tm and len(nodes[tm]) != 9:
+            raise ValueError("expected a matrix diagram as the first operand, got a vector one")
+        if tv and len(nodes[tv]) != 5:
+            raise ValueError("expected a vector diagram as the second operand, got a matrix one")
+        if tm and tv and nodes[tm][0] != nodes[tv][0]:
             raise ValueError(
-                f"qubit count mismatch: matrix {self._mnodes[tm][0] + 1} vs vector "
-                f"{self._vnodes[tv][0] + 1}"
+                f"qubit count mismatch: matrix {nodes[tm][0] + 1} vs vector {nodes[tv][0] + 1}"
             )
         return self._intern(self._mv(m, v))
 
@@ -424,8 +422,8 @@ class Package:
         key = (tm, tv)
         res = self._memo_mul.get(key)
         if res is None:
-            lm, m0w, m0t, m1w, m1t, m2w, m2t, m3w, m3t = self._mnodes[tm]
-            lv, v0w, v0t, v1w, v1t = self._vnodes[tv]
+            lm, m0w, m0t, m1w, m1t, m2w, m2t, m3w, m3t = self._nodes[tm]
+            lv, v0w, v0t, v1w, v1t = self._nodes[tv]
             if lm != lv:
                 raise ValueError("matrix/vector level mismatch")
             v0 = (v0w, v0t)
@@ -448,7 +446,7 @@ class Package:
         way to move results between per-worker packages.
         """
         sw, st = ONE_EDGE if splice is None else splice
-        width = self._vnodes[st][0] + 1 if st else 0
+        width = self._nodes[st][0] + 1 if st else 0
         if shift < 0 or (sw != ZERO and width != shift):
             raise ValueError(f"shift {shift} does not match a splice of {width} qubit(s)")
         memo: dict[int, Edge] = {}
@@ -460,7 +458,7 @@ class Package:
                 return (sw * w, st)
             cached = memo.get(t)
             if cached is None:
-                level, w0, t0, w1, t1 = src._vnodes[t]
+                level, w0, t0, w1, t1 = src._nodes[t]
                 cached = memo[t] = self._normalize(level + shift, *rec(w0, t0), *rec(w1, t1))
             return (w * cached[0], cached[1])
 
@@ -473,9 +471,10 @@ class Package:
         """Matrix diagram of ``base`` acting on the listed qubits (first listed
         = most significant matrix bit), identity on all other qubits.
 
-        Memoized by content, under ``(n, qubits, matrix bytes)``, for the
-        package's lifetime: a package reused across blocks, paths or circuits
-        builds each distinct operator once and can never return a stale one.
+        Memoized by content, under ``(n, qubits, matrix bytes)``, until the
+        next :meth:`gc`, so a reused package never returns a stale diagram;
+        like any edge that is not a gc root, the returned one is invalid
+        after a collection.
         """
         m = len(qubits)
         base = np.asarray(base, dtype=complex)
@@ -517,47 +516,41 @@ class Package:
     # garbage collection
 
     def gc(self, roots: Iterable[Edge] = ()) -> int:
-        """Mark-and-sweep of the vector space from the given roots.
+        """Mark-and-sweep from the given roots.
 
-        Every unreachable vector node is reclaimed, the compute tables are
-        dropped (operand ids may be reused), and weight-table entries no
-        longer referenced by live nodes are released.  Reachable diagrams are
-        untouched: their edges stay valid and mean the same vectors.  The
-        matrix space is never swept: its roots are the memoized operator
-        diagrams of :meth:`matrix_dd`, which live as long as the package.
+        Every node the roots cannot reach, vector or matrix, is reclaimed; the
+        operator memo and the compute tables are dropped (operand ids may be
+        reused), and weight-table entries no longer referenced by live nodes
+        or roots are released.  Reachable diagrams are untouched: their edges
+        stay valid and mean the same vectors.  Any other edge, an operator
+        diagram from :meth:`matrix_dd` included, is invalid afterwards.
         """
         roots = list(roots)
         live = self.reachable(roots)
         reclaimed = 0
-        for node in range(1, len(self._vnodes)):
-            entry = self._vnodes[node]
+        for node in range(1, len(self._nodes)):
+            entry = self._nodes[node]
             if entry is not None and node not in live:
-                del self._vtable[entry]
-                self._vnodes[node] = None
-                self._vfree.append(node)
+                del self._table[entry]
+                self._nodes[node] = None
+                self._free.append(node)
                 reclaimed += 1
+        self._memo_op.clear()
         self._memo_add.clear()
         self._memo_mul.clear()
-        live_w: set[complex] = set()
-        for entry in self._vtable:
-            live_w.add(entry[1])
-            live_w.add(entry[3])
-        for entry in self._mtable:
+        live_w = {w for w, _ in roots}
+        for entry in self._table:
             live_w.update(entry[1::2])
-        for w, _ in roots:
-            live_w.add(w)
-        for w, _ in self._memo_op.values():
-            live_w.add(w)
         self.weights.gc(live_w)
         self.gc_runs += 1
         return reclaimed
 
     def maybe_gc(self, roots: Iterable[Edge] = ()) -> int:
-        """Run :meth:`gc` when the nodes and every cache together have
-        outgrown ``gc_limit``."""
+        """Run :meth:`gc` when the nodes and every cache, the operator memo
+        included, together have outgrown ``gc_limit``."""
         pressure = (
-            self.live_nodes() + len(self._memo_add) + len(self._memo_mul)
-            + self.weights.cached()
+            self.live_nodes() + len(self._memo_op) + len(self._memo_add)
+            + len(self._memo_mul) + self.weights.cached()
         )
         if pressure > self.gc_limit:
             return self.gc(roots)

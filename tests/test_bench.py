@@ -45,6 +45,12 @@ def test_bench_timeout_marks_rows():
     assert cells["t_ref/t_amp"] == "---"
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_bench_worker_count_below_one_is_rejected(workers):
+    with pytest.raises(ValueError, match="at least one worker"):
+        run_bench([4], [2], [0], workers=workers, timeout=60)
+
+
 def test_bench_engine_death_names_exit_code():
     with pytest.raises(RuntimeError, match=r"died without reporting \(exit code -9\)"):
         _run_timed(lambda: os.kill(os.getpid(), signal.SIGKILL), 30)

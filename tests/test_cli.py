@@ -173,6 +173,15 @@ def test_worker_count_below_one_is_rejected(tmp_path, fig4_qasm, fig4, capsys, w
         assert "worker" in capsys.readouterr().err
 
 
+def test_dense_cap_is_a_verify_flag(tmp_path, fig4_qasm, capsys):
+    # only verify runs the dense oracle, so only verify takes its cap
+    path = write_fig(tmp_path, fig4_qasm)
+    assert main(["run", path, "--dense-cap", "3"]) == 2
+    assert "--dense-cap" in capsys.readouterr().err
+    assert main(["verify", path, "--dense-cap", "3", "--workers", "1"]) == 0
+    assert "above dense cap 3" in capsys.readouterr().out
+
+
 def test_run_invalid_cut(tmp_path, fig4_qasm, capsys):
     path = write_fig(tmp_path, fig4_qasm)
     assert main(["run", path, "--mode", "hybrid-dd", "--cut", "0"]) == 2

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcdd.circuit import CapacityError, apply_matrix, dense_simulate, generate_random_circuit
+from qcdd.circuit import (
+    CapacityError, Circuit, Gate, apply_matrix, dense_simulate, generate_random_circuit,
+)
 from qcdd.dd import ONE_EDGE, ZERO_EDGE, Package
 from qcdd.schrodinger import simulate
 from qcdd.weights import ONE, ZERO
@@ -39,7 +41,7 @@ def test_basis_state_single_one():
     pkg = Package()
     e = pkg.make_basis_state(1, "1")
     assert pkg.count_nodes(e) == 1
-    level, w0, t0, w1, t1 = pkg._vnodes[e[1]]
+    level, w0, t0, w1, t1 = pkg._nodes[e[1]]
     assert (w0, t0) == ZERO_EDGE
     assert (w1, t1) == ONE_EDGE
 
@@ -70,7 +72,7 @@ def test_normalize_uniform_pair():
     h = pkg.weights.lookup(complex(SQ2, 0))
     e = pkg.make_vector_node(0, (h, 0), (h, 0))
     assert e[0] == pytest.approx(SQ2)
-    _, w0, _, w1, _ = pkg._vnodes[e[1]]
+    _, w0, _, w1, _ = pkg._nodes[e[1]]
     assert w0 == ONE and w1 == ONE
 
 
@@ -88,7 +90,7 @@ def test_normalize_reconstructs_values():
     assert abs(v[0] - 0.6) < 1e-14
     assert abs(v[1] - 0.8j) < 1e-14
     # normalization divides by the largest-magnitude successor weight
-    _, w0, _, w1, _ = pkg._vnodes[e[1]]
+    _, w0, _, w1, _ = pkg._nodes[e[1]]
     assert w1 == ONE
     assert abs(e[0] - 0.8j) < 1e-14
 
@@ -98,8 +100,8 @@ def test_normalized_weights_bounded():
     pkg = Package()
     for _ in range(20):
         e = pkg.from_statevector(rand_vec(rng, 5, sparsity=0.6))
-        assert e == ZERO_EDGE or pkg._vnodes[e[1]] is not None
-    for entry in pkg._vtable:
+        assert e == ZERO_EDGE or pkg._nodes[e[1]] is not None
+    for entry in pkg._table:
         _, w0, t0, w1, t1 = entry
         assert ONE in (w0, w1)
         for w, t in ((w0, t0), (w1, t1)):
@@ -332,7 +334,7 @@ def test_no_zero_weight_edges_to_nodes():
     pkg = Package()
     for _ in range(10):
         pkg.from_statevector(rand_vec(rng, 5, sparsity=0.4))
-    for entry in pkg._vtable:
+    for entry in pkg._table:
         _, w0, t0, w1, t1 = entry
         if w0 == ZERO:
             assert t0 == 0
@@ -344,11 +346,11 @@ def test_levels_decrease_by_one():
     rng = np.random.default_rng(10)
     pkg = Package()
     pkg.from_statevector(rand_vec(rng, 6))
-    for entry in pkg._vtable:
+    for entry in pkg._table:
         level, _, t0, _, t1 = entry
         for t in (t0, t1):
             if t:
-                assert pkg._vnodes[t][0] == level - 1
+                assert pkg._nodes[t][0] == level - 1
             else:
                 pass
         if level == 0:
@@ -427,9 +429,7 @@ def test_only_stored_weights_are_interned(n, depth, seed):
     state = simulate(c, pkg)
     assert pkg.gc_runs == 0
     stored = {state[0]}
-    for key in pkg._vtable:
-        stored.update(key[1::2])
-    for key in pkg._mtable:
+    for key in pkg._table:
         stored.update(key[1::2])
     stored.update(w for w, _ in pkg._memo_op.values())
     assert len(pkg.weights) <= 3 * len(stored)
@@ -450,7 +450,7 @@ def assert_representatives(pkg, edges):
     up as itself without adding a representative."""
     size = len(pkg.weights)
     lookup = pkg.weights.lookup
-    for entry in (*pkg._vtable, *pkg._mtable):
+    for entry in pkg._table:
         for w in entry[1::2]:
             assert lookup(w) == w
     for w, _ in edges:
@@ -552,20 +552,52 @@ def test_gc_then_rebuild_reuses_ids():
     assert np.abs(pkg.extract_statevector(e, 4) - vec).max() < 1e-10
 
 
-def test_gc_keeps_operator_diagrams():
-    # operator diagrams are the matrix space's roots: gc without roots frees
-    # every vector node and no matrix node, and a copy of the matrix finds
-    # the memoized diagram by content
+def test_gc_drops_operator_diagrams():
+    # matrix nodes share the vector nodes' table: gc without roots frees
+    # every node and the operator memo, and a rebuilt operator still works
     pkg = Package()
-    x_low = np.kron(np.eye(2), [[0, 1], [1, 0]])
-    op = pkg.matrix_dd(3, (2, 0), x_low.astype(complex))
+    x_low = np.kron(np.eye(2), [[0, 1], [1, 0]]).astype(complex)
+    op = pkg.matrix_dd(3, (2, 0), x_low)
     pkg.multiply(op, pkg.make_basis_state(3, "000"))
-    matrix_nodes = len(pkg._mtable)
     pkg.gc()
-    assert pkg.live_nodes() == matrix_nodes
-    assert pkg.matrix_dd(3, (2, 0), x_low) == op
+    assert pkg.live_nodes() == 0
+    assert len(pkg._memo_op) == 0
+    op = pkg.matrix_dd(3, (2, 0), x_low)
     v = pkg.extract_statevector(pkg.multiply(op, pkg.make_basis_state(3, "000")))
     assert v[0b001] == 1 and np.count_nonzero(v) == 1
+
+
+def test_package_reused_across_many_circuits_stays_bounded():
+    # 300 small circuits with distinct operators in one package: the
+    # operator diagrams are swept with everything else, so gc runs rarely
+    # and the package never outgrows its limit (a package that kept every
+    # operator ran a gc after each op once they alone passed the limit)
+    rng = np.random.default_rng(0)
+    pkg = Package(gc_limit=2000)
+    for _ in range(300):
+        gates = tuple(Gate("rx", (float(rng.uniform(0, 2 * np.pi)),), targets=(int(q),))
+                      for q in rng.integers(0, 4, size=10))
+        c = Circuit(4, gates)
+        state = simulate(c, pkg)
+        assert np.abs(pkg.extract_statevector(state, 4) - dense_simulate(c)).max() < 1e-12
+        assert pkg.live_nodes() <= 2000
+    assert pkg.gc_runs < 100
+
+
+def test_wrong_node_kind_is_rejected():
+    pkg = Package()
+    for q in range(3):
+        for gate in ([[0, 1], [1, 0]], [[1, 0], [0, -1]]):
+            op = pkg.matrix_dd(3, (q,), np.array(gate, dtype=complex))
+    v = pkg.make_basis_state(3, "000")
+    with pytest.raises(ValueError, match="expected a matrix diagram"):
+        pkg.multiply(v, v)
+    with pytest.raises(ValueError, match="expected a vector diagram"):
+        pkg.multiply(op, op)
+    with pytest.raises(ValueError, match="expected a vector diagram"):
+        pkg.get_amplitude(op, "000")
+    with pytest.raises(ValueError, match="expected a vector diagram"):
+        pkg.extract_statevector(op)
 
 
 # ---------------------------------------------------------------------------

@@ -641,10 +641,10 @@ def test_dd_ship_sends_only_live_nodes():
     summer = hybrid_mod._DDSum(p.cut, 1e-13, 30)
     summer.pkg.gc_limit = 0  # sweep after every path, leaving freed slots behind
     hybrid_mod._sum_paths(c, p, cls, 0, 1, False, summer)
-    assert None in summer.pkg._vnodes[1:]
+    assert None in summer.pkg._nodes[1:]
     pkg, edge = summer.ship()
-    assert None not in pkg._vnodes[1:]
-    assert len(pkg._vnodes) - 1 == pkg.count_nodes(edge)
+    assert None not in pkg._nodes[1:]
+    assert len(pkg._nodes) - 1 == pkg.count_nodes(edge)
     assert np.abs(pkg.extract_statevector(edge, 8) - dense_simulate(c)).max() < 1e-9
 
 

@@ -34,11 +34,11 @@ def test_cz_gate_dd_structure():
     pkg = Package()
     g = Gate("cz", controls=(1,), targets=(0,))
     e = pkg.matrix_dd(2, g.qubits, g.operator())
-    level, w0, t0, w1, t1, w2, t2, w3, t3 = pkg._mnodes[e[1]]
+    level, w0, t0, w1, t1, w2, t2, w3, t3 = pkg._nodes[e[1]]
     assert level == 1
     assert w1 == ZERO and w2 == ZERO
-    ident = pkg._mnodes[t0]
-    zgate = pkg._mnodes[t3]
+    ident = pkg._nodes[t0]
+    zgate = pkg._nodes[t3]
     assert list(ident[1::2]) == [1, 0, 0, 1]
     assert list(zgate[1::2]) == [1, 0, 0, -1]
     assert np.allclose(dd_columns(pkg, e, 2), np.diag([1, 1, 1, -1]), atol=1e-13)

@@ -27,3 +27,13 @@ def test_bench_trend_smoke():
     lines = proc.stdout.splitlines()
     header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["name", "decisions"])
     assert lines[header + 1].split()[0].startswith("rand_6q_d3_s")
+
+
+def test_bench_trend_rejects_worker_count_below_one():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_trend.py"), "--qubits", "6", "--depth", "3",
+         "--instances", "1", "--min-decisions", "0", "--max-decisions", "3", "--workers", "0"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "at least one worker" in proc.stderr
