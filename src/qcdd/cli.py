@@ -79,7 +79,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                        help="worker processes for the hybrid engines, at least 1 (default: all cores)")
         p.add_argument("--tol", type=float, default=1e-13, help="weight canonicalization tolerance")
         p.add_argument("--amp-cap", type=int, default=30,
-                       help="max qubits for dense extraction / amplitude accumulators")
+                       help="max qubits for dense extraction; in hybrid-amp mode also the"
+                            " log2 of the block-row amplitudes of all paths")
         p.add_argument("--config", help="key=value file of defaults; command-line flags win")
 
     run_p = sub.add_parser("run", help="simulate with one engine")

@@ -350,16 +350,11 @@ class Package:
             return ZERO_EDGE
         return (self.weights.mul(e[0], w), e[1])
 
-    def _check_same_qubits(self, a: Edge, b: Edge):
-        ta, tb = a[1], b[1]
-        if ta and tb and self._nodes[ta][0] != self._nodes[tb][0]:
-            raise ValueError(
-                f"qubit count mismatch: {self._nodes[ta][0] + 1} vs {self._nodes[tb][0] + 1}"
-            )
-
     def add(self, a: Edge, b: Edge) -> Edge:
         """Elementwise sum of two vector diagrams of equal qubit count."""
-        self._check_same_qubits(a, b)
+        levels = [self._vector_root(t)[0] for _, t in (a, b) if t]
+        if len(levels) == 2 and levels[0] != levels[1]:
+            raise ValueError(f"qubit count mismatch: {levels[0] + 1} vs {levels[1] + 1}")
         return self._intern(self._add(a, b))
 
     def _add(self, a: Edge, b: Edge) -> Edge:
@@ -445,6 +440,8 @@ class Package:
         representatives of this package's table; this is the one sanctioned
         way to move results between per-worker packages.
         """
+        if e[1]:
+            src._vector_root(e[1])
         sw, st = ONE_EDGE if splice is None else splice
         width = self._nodes[st][0] + 1 if st else 0
         if shift < 0 or (sw != ZERO and width != shift):

@@ -9,32 +9,28 @@ is split over the operator basis of its upper-block operand,
 and becomes a decision point; choosing one term per decision yields one
 path, and the full state is the sum over all paths.  Each path simulates
 the two blocks independently (one diagram package per block, no shared
-state);
-the path's summand is the tensor product of the two block states.  Each
-block is folded by :func:`qcdd.schrodinger.apply_ops`, the reference
+state); the path's summand is the tensor product of the two block states.
+Each block is folded by :func:`qcdd.schrodinger.apply_ops`, the reference
 engine's own gate loop.
 
-Both modes run one driver, ``_run_paths``, which hands each path's two block
-states to a "summer" that forms and adds the tensor product.  Each worker
+Both modes run one driver, ``_run_paths``, which hands the two block states
+of each path whose blocks are both non-zero to a "summer".  Each worker
 keeps one package per block for all of its paths, so the operator diagrams
 and compute tables stay warm from one path to the next.
-``run_hybrid_amp`` extracts the two block arrays and adds their outer
-product into a dense accumulator (``_AmpSum``); ``run_hybrid_dd`` splices
-the two block diagrams into one diagram inside the run's package and adds
-it there (``_DDSum``).
+``run_hybrid_amp`` keeps each path's two block arrays as rows and forms the
+state as one matrix product of the stacked rows (``_AmpSum``);
+``run_hybrid_dd`` splices the two block diagrams into one diagram inside
+the run's package and adds it there (``_DDSum``).
 
 With ``W`` workers, worker ``w`` is a forked OS process that sums paths
 ``w, w + W, ...`` and replies through its own pipe; workers share no lock.
-An amplitude worker adds into its own row of one anonymous shared mapping
-and replies with only its stage times and node count; a DD worker sends its
-partial sum copied into a fresh package.  This process combines the
-partial sums.
+An amplitude worker sends its rows, a DD worker its partial sum copied into
+a fresh package, and this process combines them.
 """
 
 from __future__ import annotations
 
 import functools
-import mmap
 import multiprocessing as mp
 import time
 import traceback
@@ -43,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import CapacityError, Circuit, Gate
-from .dd import Edge, Package
+from .dd import ZERO_EDGE, Edge, Package
 from .schrodinger import apply_ops
 
 
@@ -233,11 +229,12 @@ _STAGES = ("simulate", "kron", "extract", "add")
 
 
 class _AmpSum:
-    """Amplitude mode: each path's two block arrays are extracted and their
-    outer product, flattened with the upper block in the high bits, is added
-    into a dense accumulator.  Each worker owns one accumulator row; with
-    more than one worker the rows share one anonymous mapping made before
-    forking, so workers add into them in place and send no array back."""
+    """Amplitude mode: each path's two block arrays are extracted and kept as
+    one row each.  With cut ``k`` the state, reshaped to ``(2**(n-k), 2**k)``
+    with the upper block in the high bits, is ``U.T @ L``, where row ``p`` of
+    ``U`` and ``L`` holds path ``p``'s upper and lower block array.  A forked
+    worker ships its rows; this process stacks all rows and forms that one
+    product."""
 
     mode = "hybrid-amp"
 
@@ -246,40 +243,37 @@ class _AmpSum:
         self.cut = cut
         self.tol = tol
         self.amp_cap = amp_cap
-
-    def open(self, workers: int):
-        size = 1 << self.n
-        if workers == 1:
-            self.rows = np.zeros((1, size), dtype=complex)
-        else:
-            shared = mmap.mmap(-1, workers * 16 * size)
-            self.rows = np.frombuffer(shared, dtype=complex).reshape(workers, size)
-
-    def as_worker(self, w: int):
-        self.acc = self.rows[w]
-        # every path's outer product is written into this one buffer
-        self.prod = np.empty((1 << (self.n - self.cut), 1 << self.cut), dtype=complex)
+        self.upper: list[np.ndarray] = []
+        self.lower: list[np.ndarray] = []
 
     def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
         upper = up.extract_statevector(ue, self.n - self.cut)
         lower = lo.extract_statevector(le, self.cut)
         t1 = time.perf_counter()
-        np.multiply.outer(upper, lower, out=self.prod)
-        t2 = time.perf_counter()
-        self.acc += self.prod.ravel()
+        self.upper.append(upper)
+        self.lower.append(lower)
         times["extract"] += t1 - t0
-        times["kron"] += t2 - t1
-        times["add"] += time.perf_counter() - t2
+        times["add"] += time.perf_counter() - t1
 
     def ship(self):
-        return None  # the worker's row is already in the shared mapping
+        return self.upper, self.lower
 
-    def total(self, shipped) -> np.ndarray:
-        """The sum of the rows, in a new array when there are several, so the
-        result does not keep the shared mapping alive."""
-        rows, self.rows, self.acc = self.rows, None, None
-        return rows[0] if len(rows) == 1 else rows.sum(axis=0)
+    def total(self, shipped, times: dict) -> np.ndarray:
+        """The state from this process's rows and the workers' shipped ones;
+        the zero state when there are none."""
+        t0 = time.perf_counter()
+        for upper, lower in shipped:
+            self.upper += upper
+            self.lower += lower
+        # the one transient copy of the rows
+        upper = np.array(self.upper, dtype=complex).reshape(-1, 1 << (self.n - self.cut))
+        lower = np.array(self.lower, dtype=complex).reshape(-1, 1 << self.cut)
+        t1 = time.perf_counter()
+        state = (upper.T @ lower).ravel()
+        times["add"] += t1 - t0
+        times["kron"] += time.perf_counter() - t1
+        return state
 
 
 class _DDSum:
@@ -298,12 +292,6 @@ class _DDSum:
         self.amp_cap = amp_cap
         self.pkg = Package(tol, extract_cap=amp_cap)
         self.slots: list[Edge | None] = []
-
-    def open(self, workers: int):
-        pass  # every process sums into its own package
-
-    def as_worker(self, w: int):
-        pass
 
     def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
@@ -327,24 +315,31 @@ class _DDSum:
         else:
             slots[pos] = contrib
 
+    def _sum(self) -> Edge:
+        """The counter's slots added up; the zero edge when all are empty."""
+        live = [s for s in self.slots if s is not None]
+        return functools.reduce(lambda acc, s: self.pkg.add(s, acc), live, ZERO_EDGE)
+
     def ship(self):
         """A worker's partial: its sum copied into a fresh package, which
         holds only that diagram's nodes, plus the edge there."""
         out = Package(self.tol, extract_cap=self.amp_cap)
-        return out, out.import_edge(self.pkg, self.total(None))
+        return out, out.import_edge(self.pkg, self._sum())
 
-    def total(self, shipped) -> Edge:
-        for pkg, edge in shipped or ():
+    def total(self, shipped, times: dict) -> Edge:
+        t0 = time.perf_counter()
+        for pkg, edge in shipped:
             self._push(self.pkg.import_edge(pkg, edge))
-        live = [s for s in self.slots if s is not None]
-        return functools.reduce(lambda acc, s: self.pkg.add(s, acc), live)
+        state = self._sum()
+        times["add"] += time.perf_counter() - t0
+        return state
 
 
 def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
     """Worker ``w`` of ``workers``: simulate paths ``w, w + workers, ...``
-    in one package per block and fold each into ``summer``.  Returns the
-    stage times and the two block packages' peak node counts added."""
-    summer.as_worker(w)
+    in one package per block and fold each path whose two block states are
+    both non-zero into ``summer``.  Returns the stage times and the two
+    block packages' peak node counts added."""
     times = dict.fromkeys(_STAGES, 0.0)
     up = Package(summer.tol, extract_cap=summer.amp_cap)
     lo = Package(summer.tol, extract_cap=summer.amp_cap)
@@ -353,7 +348,8 @@ def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
         t0 = time.perf_counter()
         ue, le = simulate_path(circuit, partition, digits, up, lo, cls, check_norm)
         times["simulate"] += time.perf_counter() - t0
-        summer.add_path(up, ue, lo, le, times)
+        if ZERO_EDGE not in (ue, le):
+            summer.add_path(up, ue, lo, le, times)
     return times, up.peak_nodes + lo.peak_nodes
 
 
@@ -410,37 +406,32 @@ def _fork_workers(circuit, partition, cls, workers, check_norm, summer) -> list[
     return replies
 
 
-def _run_paths(circuit, partition, workers, check_norm, summer):
+def _run_paths(circuit, partition, cls, workers, check_norm, summer):
     """The path sum of both modes; ``summer`` decides how paths recombine.
 
     With one worker the paths are summed in this process.  Otherwise worker
     ``w`` of ``W`` is forked to sum paths ``w, w + W, ...``, and the
     workers' partial sums are combined here.  Returns (sum, stats record).
 
-    A summer is told the worker count by ``open`` before any fork, and
-    which worker's paths it sums by ``as_worker``; a forked worker replies
-    with ``ship()``, and ``total`` gives the run's sum from those replies
-    (``None`` when the paths were summed in this process).  ``workers``
-    below 1 raises ``ValueError``; ``None`` means 1.
+    A summer takes each path by ``add_path``; a forked worker replies with
+    ``ship()``, and ``total`` gives the run's sum from this process's paths
+    and those replies.  ``workers`` below 1 raises ``ValueError``; ``None``
+    means 1.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    cls = classify(circuit, partition)
     total = cls.path_count
     workers = min(workers or 1, total)
     t_start = time.perf_counter()
-    summer.open(workers)
     if workers == 1:
         times, max_nodes = _sum_paths(circuit, partition, cls, 0, 1, check_norm, summer)
-        shipped = None
+        shipped = ()
     else:
         replies = _fork_workers(circuit, partition, cls, workers, check_norm, summer)
         shipped, worker_times, nodes = zip(*replies)
         max_nodes = max(nodes)
         times = {stage: sum(t[stage] for t in worker_times) for stage in _STAGES}
-    t0 = time.perf_counter()
-    result = summer.total(shipped)
-    times["add"] += time.perf_counter() - t0
+    result = summer.total(shipped, times)
     times["total"] = time.perf_counter() - t_start
     return result, dict(
         mode=summer.mode, n=circuit.n, cut=partition.cut, decisions=len(cls.decisions),
@@ -463,24 +454,31 @@ def run_hybrid_amp(
     amp_cap: int = 30,
     check_norm: bool = False,
 ) -> HybridResult:
-    """Path-sum run recombining through per-worker dense accumulators.
+    """Path-sum run recombining through dense block arrays.
 
     Cross-path diagrams are never added as diagrams.  Memory budget, in
-    arrays of 2**n complex amplitudes: per worker, its accumulator plus one
-    outer-product buffer that every path reuses; with more than one worker,
-    the accumulators are the rows of one shared mapping, which this process
-    reads to sum them into one new array.
+    complex amplitudes: the rows, ``2**(n-k) + 2**k`` per non-zero path
+    (with one transient copy while they are stacked), plus the ``2**n``
+    output.  Before any worker is forked, ``CapacityError`` is raised when
+    ``n`` exceeds ``amp_cap`` or when the rows of all paths would exceed
+    ``2**amp_cap`` amplitudes.
     """
     n = circuit.n
     if n > amp_cap:
         raise CapacityError(
-            f"amplitude mode needs arrays of 2**{n} * 16 bytes (per worker an accumulator"
-            f" and one per-path product, plus the sum of the accumulators);"
-            f" cap is 2**{amp_cap}"
+            f"amplitude mode needs an output of 2**{n} amplitudes; cap is 2**{amp_cap}"
         )
     partition = partition or default_partition(n)
-    summer = _AmpSum(n, partition.cut, tol, amp_cap)
-    vector, stats = _run_paths(circuit, partition, workers, check_norm, summer)
+    cls = classify(circuit, partition)
+    k = partition.cut
+    rows = cls.path_count * ((1 << (n - k)) + (1 << k))
+    if rows > 1 << amp_cap:
+        raise CapacityError(
+            f"amplitude mode needs block rows of {rows} amplitudes for {cls.path_count}"
+            f" paths; cap is 2**{amp_cap}"
+        )
+    summer = _AmpSum(n, k, tol, amp_cap)
+    vector, stats = _run_paths(circuit, partition, cls, workers, check_norm, summer)
     return _result(stats, vector=vector)
 
 
@@ -498,7 +496,8 @@ def run_hybrid_dd(
     dense extraction above ``amp_cap`` qubits.
     """
     partition = partition or default_partition(circuit.n)
+    cls = classify(circuit, partition)
     summer = _DDSum(partition.cut, tol, amp_cap)
-    edge, stats = _run_paths(circuit, partition, workers, check_norm, summer)
+    edge, stats = _run_paths(circuit, partition, cls, workers, check_norm, summer)
     stats["final_nodes"] = summer.pkg.count_nodes(edge)
     return _result(stats, state=edge, package=summer.pkg)

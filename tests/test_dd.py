@@ -600,6 +600,17 @@ def test_wrong_node_kind_is_rejected():
         pkg.extract_statevector(op)
 
 
+def test_add_and_import_reject_matrix_diagrams():
+    pkg = Package()
+    op = pkg.matrix_dd(3, (1,), np.array([[0, 1], [1, 0]], dtype=complex))
+    v = pkg.make_basis_state(3, "000")
+    for a, b in ((op, op), (v, op), (op, v)):
+        with pytest.raises(ValueError, match="expected a vector diagram"):
+            pkg.add(a, b)
+    with pytest.raises(ValueError, match="expected a vector diagram"):
+        Package().import_edge(pkg, op)
+
+
 # ---------------------------------------------------------------------------
 # import between packages
 

@@ -269,13 +269,18 @@ def test_simulate_path_needs_two_packages(fig4):
         simulate_path(fig4, Partition(2), (0, 0), pkg, pkg)
 
 
-def test_block_packages_stay_bounded_over_1024_paths():
+def circuit_1024_paths() -> Circuit:
+    """4 qubits, ten cross-cut CZs at cut 2: 1024 paths."""
     gates = [Gate("h", targets=(q,)) for q in range(4)]
     for i in range(10):
         gates.append(Gate("cz", controls=(i % 2,), targets=(2 + (i // 2) % 2,)))
         gates.append(Gate("rx", (0.3 + 0.1 * i,), targets=(i % 4,)))
         gates.append(Gate("t", targets=((i + 1) % 4,)))
-    c = Circuit(4, tuple(gates))
+    return Circuit(4, tuple(gates))
+
+
+def test_block_packages_stay_bounded_over_1024_paths():
+    c = circuit_1024_paths()
     p = Partition(2)
     cls = classify(c, p)
     assert cls.path_count == 1024
@@ -283,8 +288,8 @@ def test_block_packages_stay_bounded_over_1024_paths():
     up, lo = Package(gc_limit=limit), Package(gc_limit=limit)
 
     def pressure(pkg):
-        return (pkg.live_nodes() + len(pkg._memo_add) + len(pkg._memo_mul)
-                + pkg.weights.cached())
+        return (pkg.live_nodes() + len(pkg._memo_op) + len(pkg._memo_add)
+                + len(pkg._memo_mul) + pkg.weights.cached())
 
     acc = np.zeros(16, dtype=complex)
     for i in range(cls.path_count):
@@ -361,13 +366,33 @@ def test_hybrid_amp_capacity_error():
         run_hybrid_amp(c, Partition(3), amp_cap=5)
 
 
-def test_zero_contribution_paths():
+def test_hybrid_amp_budgets_rows_before_forking(monkeypatch):
+    import qcdd.hybrid as hybrid_mod
+
+    # 1024 paths of two 2-qubit block rows each: 8192 = 2**13 row amplitudes
+    c = circuit_1024_paths()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(hybrid_mod, "simulate_path", never)
+    with pytest.raises(CapacityError, match="block rows of 8192 amplitudes"):
+        run_hybrid_amp(c, Partition(2), workers=2, amp_cap=12)
+    monkeypatch.undo()
+    res = run_hybrid_amp(c, Partition(2), workers=2, amp_cap=13)
+    assert np.abs(res.vector - dense_simulate(c)).max() < 1e-12
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["workers-1", "workers-2"])
+def test_zero_contribution_paths(workers):
     # a cross-cut CX from the all-zero state: the P1-branch path annihilates
-    # the upper block, so one of the two contributions is the zero vector
+    # the upper block, so one of the two contributions is the zero vector;
+    # with two workers, the worker given that path sums no path at all
     c = Circuit(4, (Gate("cx", controls=(2,), targets=(0,)),))
     ref = dense_simulate(c)
-    rdd = run_hybrid_dd(c, Partition(2))
-    ramp = run_hybrid_amp(c, Partition(2))
+    rdd = run_hybrid_dd(c, Partition(2), workers=workers)
+    ramp = run_hybrid_amp(c, Partition(2), workers=workers)
+    assert rdd.workers == ramp.workers == workers
     assert rdd.path_count == 2
     assert np.abs(rdd.package.extract_statevector(rdd.state, 4) - ref).max() < 1e-12
     assert np.abs(ramp.vector - ref).max() < 1e-12
@@ -619,17 +644,25 @@ def test_one_worker_dies_the_other_finishes(monkeypatch, engine, dying_path):
     assert mp.active_children() == []
 
 
-def test_amp_workers_send_no_array():
+def test_amp_workers_ship_one_row_per_nonzero_path():
     import qcdd.hybrid as hybrid_mod
 
     c = generate_random_circuit(8, 4, seed=2, cz_density=0.6)
     p = default_partition(8)
+    cls = classify(c, p)
+    up, lo = Package(), Package()
+    nonzero = 0
+    for i in range(cls.path_count):
+        ue, le = simulate_path(c, p, path_digits(cls.decisions, i), up, lo, cls)
+        nonzero += ue[0] != 0 and le[0] != 0
+    assert 0 < nonzero < cls.path_count
     summer = hybrid_mod._AmpSum(8, p.cut, 1e-13, 30)
-    summer.open(2)
-    replies = hybrid_mod._fork_workers(c, p, classify(c, p), 2, False, summer)
-    assert [partial for partial, _, _ in replies] == [None, None]
-    # the workers added into their rows of the shared mapping
-    assert np.abs(summer.total([None, None]) - dense_simulate(c)).max() < 1e-9
+    replies = hybrid_mod._fork_workers(c, p, cls, 2, False, summer)
+    shipped = [partial for partial, _, _ in replies]
+    assert sum(len(upper) for upper, _ in shipped) == nonzero
+    assert sum(len(lower) for _, lower in shipped) == nonzero
+    times = dict.fromkeys(hybrid_mod._STAGES, 0.0)
+    assert np.abs(summer.total(shipped, times) - dense_simulate(c)).max() < 1e-9
 
 
 def test_dd_ship_sends_only_live_nodes():
