@@ -32,6 +32,8 @@ A :class:`Package` owns the unique table, the memoization caches, and the
 weight table, and is strictly single-writer.  Operator diagrams are
 memoized by content until the next garbage collection, which sweeps matrix
 nodes like vector nodes and drops that memo with the compute tables.
+The table records its identity matrix nodes, and ``multiply`` stops at
+them, so a gate costs work only down to its lowest operand.
 Parallel simulation runs one package per block per worker and never shares
 one across workers; node ids mean nothing outside their package, so results
 are moved between packages with :meth:`Package.import_edge`.
@@ -64,6 +66,9 @@ class Package:
         self._nodes: list[tuple | None] = [None]
         self._table: dict[tuple, int] = {}
         self._free: list[int] = []
+        # ids of the identity matrix nodes, at most one per level: diagonal
+        # successors (ONE, t) with t the terminal or an identity, zeros elsewhere
+        self._identity: set[int] = set()
         # (n, qubits, matrix bytes) -> operator diagram, and the compute
         # tables of raw-weight results; all dropped wholesale on gc
         self._memo_op: dict[tuple, Edge] = {}
@@ -79,7 +84,8 @@ class Package:
         return len(self._table)
 
     def _unique(self, key: tuple) -> int:
-        """Id of the node ``key`` (vector or matrix), made if it is new."""
+        """Id of the node ``key`` (vector or matrix), made if it is new; a
+        new identity matrix node is recorded in ``_identity``."""
         node = self._table.get(key)
         if node is None:
             if self._free:
@@ -89,6 +95,10 @@ class Package:
                 node = len(self._nodes)
                 self._nodes.append(key)
             self._table[key] = node
+            if len(key) == 9:
+                t = key[2]
+                if key[1:] == (ONE, t, ZERO, 0, ZERO, 0, ONE, t) and (not t or t in self._identity):
+                    self._identity.add(node)
             if len(self._table) > self.peak_nodes:
                 self.peak_nodes = len(self._table)
         return node
@@ -404,7 +414,9 @@ class Package:
         return self._intern(self._mv(m, v))
 
     def _mv(self, m: Edge, v: Edge) -> Edge:
-        """Product of two stored edges as an edge with a raw weight."""
+        """Product of two stored edges as an edge with a raw weight.  An
+        identity matrix node returns the vector operand as it is, before the
+        memo, so a gate's product stops at its lowest operand's level."""
         wm, tm = m
         wv, tv = v
         if wm == ZERO or wv == ZERO:
@@ -414,6 +426,8 @@ class Package:
             return (w, 0)
         if tm == 0 or tv == 0:
             raise ValueError("matrix/vector level mismatch")
+        if tm in self._identity:
+            return (w, tv)
         key = (tm, tv)
         res = self._memo_mul.get(key)
         if res is None:
@@ -515,12 +529,13 @@ class Package:
     def gc(self, roots: Iterable[Edge] = ()) -> int:
         """Mark-and-sweep from the given roots.
 
-        Every node the roots cannot reach, vector or matrix, is reclaimed; the
-        operator memo and the compute tables are dropped (operand ids may be
-        reused), and weight-table entries no longer referenced by live nodes
-        or roots are released.  Reachable diagrams are untouched: their edges
-        stay valid and mean the same vectors.  Any other edge, an operator
-        diagram from :meth:`matrix_dd` included, is invalid afterwards.
+        Every node the roots cannot reach, vector or matrix, is reclaimed and
+        leaves ``_identity``; the operator memo and the compute tables are
+        dropped (operand ids may be reused), and weight-table entries no
+        longer referenced by live nodes or roots are released.  Reachable
+        diagrams are untouched: their edges stay valid and mean the same
+        vectors.  Any other edge, an operator diagram from :meth:`matrix_dd`
+        included, is invalid afterwards.
         """
         roots = list(roots)
         live = self.reachable(roots)
@@ -532,6 +547,7 @@ class Package:
                 self._nodes[node] = None
                 self._free.append(node)
                 reclaimed += 1
+        self._identity &= live
         self._memo_op.clear()
         self._memo_add.clear()
         self._memo_mul.clear()

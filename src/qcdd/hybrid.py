@@ -18,7 +18,7 @@ of each path whose blocks are both non-zero to a "summer".  Each worker
 keeps one package per block for all of its paths, so the operator diagrams
 and compute tables stay warm from one path to the next.
 ``run_hybrid_amp`` keeps each path's two block arrays as rows and forms the
-state as one matrix product of the stacked rows (``_AmpSum``);
+state as one matrix product per worker's rows (``_AmpSum``);
 ``run_hybrid_dd`` splices the two block diagrams into one diagram inside
 the run's package and adds it there (``_DDSum``).
 
@@ -232,9 +232,9 @@ class _AmpSum:
     """Amplitude mode: each path's two block arrays are extracted and kept as
     one row each.  With cut ``k`` the state, reshaped to ``(2**(n-k), 2**k)``
     with the upper block in the high bits, is ``U.T @ L``, where row ``p`` of
-    ``U`` and ``L`` holds path ``p``'s upper and lower block array.  A forked
-    worker ships its rows; this process stacks all rows and forms that one
-    product."""
+    ``U`` and ``L`` holds path ``p``'s upper and lower block array.  Each
+    worker fills one preallocated ``U_w`` and ``L_w`` for its share of paths
+    and ships the filled rows; the state is the sum of the ``U_w.T @ L_w``."""
 
     mode = "hybrid-amp"
 
@@ -243,37 +243,46 @@ class _AmpSum:
         self.cut = cut
         self.tol = tol
         self.amp_cap = amp_cap
-        self.upper: list[np.ndarray] = []
-        self.lower: list[np.ndarray] = []
+        self.upper: np.ndarray | None = None
+        self.lower: np.ndarray | None = None
+        self.rows = 0
+
+    def reserve(self, paths: int):
+        """Room for the rows of up to ``paths`` paths."""
+        self.upper = np.empty((paths, 1 << (self.n - self.cut)), dtype=complex)
+        self.lower = np.empty((paths, 1 << self.cut), dtype=complex)
+        self.rows = 0
 
     def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
-        upper = up.extract_statevector(ue, self.n - self.cut)
-        lower = lo.extract_statevector(le, self.cut)
-        t1 = time.perf_counter()
-        self.upper.append(upper)
-        self.lower.append(lower)
-        times["extract"] += t1 - t0
-        times["add"] += time.perf_counter() - t1
+        self.upper[self.rows] = up.extract_statevector(ue, self.n - self.cut)
+        self.lower[self.rows] = lo.extract_statevector(le, self.cut)
+        self.rows += 1
+        times["extract"] += time.perf_counter() - t0
 
     def ship(self):
-        return self.upper, self.lower
+        return self.upper[: self.rows], self.lower[: self.rows]
 
-    def total(self, shipped, times: dict) -> np.ndarray:
-        """The state from this process's rows and the workers' shipped ones;
-        the zero state when there are none."""
+    def total(self, shipped: list, times: dict) -> np.ndarray:
+        """The state from this process's rows and the workers' shipped ones,
+        which this consumes from the list.  The first pair's product forms
+        the state; every later pair's is added in slabs of output rows, each
+        no larger than that pair's rows.  Each pair is released once used,
+        so beyond the rows and the output this needs at most one worker's
+        share."""
         t0 = time.perf_counter()
-        for upper, lower in shipped:
-            self.upper += upper
-            self.lower += lower
-        # the one transient copy of the rows
-        upper = np.array(self.upper, dtype=complex).reshape(-1, 1 << (self.n - self.cut))
-        lower = np.array(self.lower, dtype=complex).reshape(-1, 1 << self.cut)
-        t1 = time.perf_counter()
-        state = (upper.T @ lower).ravel()
-        times["add"] += t1 - t0
-        times["kron"] += time.perf_counter() - t1
-        return state
+        if self.upper is not None:
+            shipped.append(self.ship())
+            self.upper = self.lower = None
+        upper, lower = shipped.pop(0)
+        state = upper.T @ lower
+        while shipped:
+            upper, lower = shipped.pop(0)
+            step = max(1, (upper.size + lower.size) >> self.cut)
+            for c in range(0, len(state), step):
+                state[c : c + step] += upper[:, c : c + step].T @ lower
+        times["kron"] += time.perf_counter() - t0
+        return state.ravel()
 
 
 class _DDSum:
@@ -292,6 +301,9 @@ class _DDSum:
         self.amp_cap = amp_cap
         self.pkg = Package(tol, extract_cap=amp_cap)
         self.slots: list[Edge | None] = []
+
+    def reserve(self, paths: int):
+        """Nothing to set aside: each path is added as it comes."""
 
     def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
@@ -326,7 +338,7 @@ class _DDSum:
         out = Package(self.tol, extract_cap=self.amp_cap)
         return out, out.import_edge(self.pkg, self._sum())
 
-    def total(self, shipped, times: dict) -> Edge:
+    def total(self, shipped: list, times: dict) -> Edge:
         t0 = time.perf_counter()
         for pkg, edge in shipped:
             self._push(self.pkg.import_edge(pkg, edge))
@@ -341,6 +353,7 @@ def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
     both non-zero into ``summer``.  Returns the stage times and the two
     block packages' peak node counts added."""
     times = dict.fromkeys(_STAGES, 0.0)
+    summer.reserve(len(range(w, cls.path_count, workers)))
     up = Package(summer.tol, extract_cap=summer.amp_cap)
     lo = Package(summer.tol, extract_cap=summer.amp_cap)
     for i in range(w, cls.path_count, workers):
@@ -413,10 +426,11 @@ def _run_paths(circuit, partition, cls, workers, check_norm, summer):
     ``w`` of ``W`` is forked to sum paths ``w, w + W, ...``, and the
     workers' partial sums are combined here.  Returns (sum, stats record).
 
-    A summer takes each path by ``add_path``; a forked worker replies with
-    ``ship()``, and ``total`` gives the run's sum from this process's paths
-    and those replies.  ``workers`` below 1 raises ``ValueError``; ``None``
-    means 1.
+    A summer is told how many paths it may get by ``reserve`` and takes each
+    path by ``add_path``; a forked worker replies with ``ship()``, and
+    ``total`` gives the run's sum from this process's paths and the list of
+    those replies, which it may consume.  ``workers`` below 1 raises
+    ``ValueError``; ``None`` means 1.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
@@ -425,10 +439,11 @@ def _run_paths(circuit, partition, cls, workers, check_norm, summer):
     t_start = time.perf_counter()
     if workers == 1:
         times, max_nodes = _sum_paths(circuit, partition, cls, 0, 1, check_norm, summer)
-        shipped = ()
+        shipped = []
     else:
         replies = _fork_workers(circuit, partition, cls, workers, check_norm, summer)
-        shipped, worker_times, nodes = zip(*replies)
+        shipped, worker_times, nodes = map(list, zip(*replies))
+        del replies  # so that total() can release each partial once used
         max_nodes = max(nodes)
         times = {stage: sum(t[stage] for t in worker_times) for stage in _STAGES}
     result = summer.total(shipped, times)
@@ -457,11 +472,13 @@ def run_hybrid_amp(
     """Path-sum run recombining through dense block arrays.
 
     Cross-path diagrams are never added as diagrams.  Memory budget, in
-    complex amplitudes: the rows, ``2**(n-k) + 2**k`` per non-zero path
-    (with one transient copy while they are stacked), plus the ``2**n``
-    output.  Before any worker is forked, ``CapacityError`` is raised when
-    ``n`` exceeds ``amp_cap`` or when the rows of all paths would exceed
-    ``2**amp_cap`` amplitudes.
+    complex amplitudes: the rows, ``2**(n-k) + 2**k`` per path, each held
+    once (a worker reserves rows for all of its paths and writes those of
+    the non-zero ones), plus the ``2**n`` output, plus at most one worker's
+    share of rows while the workers' products are added.  Before any
+    worker is forked, ``CapacityError`` is raised when ``n`` exceeds
+    ``amp_cap`` or when the rows of all paths would exceed ``2**amp_cap``
+    amplitudes.
     """
     n = circuit.n
     if n > amp_cap:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcdd.circuit import (
-    CapacityError, Circuit, Gate, apply_matrix, dense_simulate, generate_random_circuit,
+    GATE_KINDS, CapacityError, Circuit, Gate, apply_matrix, dense_simulate,
+    generate_random_circuit,
 )
 from qcdd.dd import ONE_EDGE, ZERO_EDGE, Package
 from qcdd.schrodinger import simulate
@@ -285,6 +286,88 @@ def test_multiply_qubit_mismatch():
     v = pkg.make_basis_state(4, "0000")
     with pytest.raises(ValueError):
         pkg.multiply(m, v)
+
+
+def identity_ids(pkg):
+    """Ids of the live matrix nodes whose dense matrix is exactly the
+    identity."""
+    dense = {0: np.ones((1, 1), dtype=complex)}
+
+    def expand(node):
+        if node not in dense:
+            level, *succ = pkg._nodes[node]
+            size = 1 << level
+            blocks = [w * expand(t) if w != ZERO else np.zeros((size, size))
+                      for w, t in zip(succ[::2], succ[1::2])]
+            dense[node] = np.block([blocks[:2], blocks[2:]])
+        return dense[node]
+
+    return {node for key, node in pkg._table.items()
+            if len(key) == 9 and np.array_equal(expand(node), np.eye(2 << key[0]))}
+
+
+def assert_identity_record(pkg):
+    assert pkg._identity == identity_ids(pkg)
+    levels = [pkg._nodes[node][0] for node in pkg._identity]
+    assert len(levels) == len(set(levels))
+
+
+def test_gate_on_top_qubit_does_not_walk_the_state_below():
+    rng = np.random.default_rng(30)
+    n = 8
+    pkg = Package()
+    vec = rand_vec(rng, n)
+    v = pkg.from_statevector(vec)
+    h = np.array([[1, 1], [1, -1]], dtype=complex) * SQ2
+    e = pkg.multiply(pkg.matrix_dd(n, (n - 1,), h), v)
+    assert len(pkg._memo_mul) == 1
+    want = apply_matrix(vec, h, (n - 1,), n)
+    assert np.abs(pkg.extract_statevector(e, n) - want).max() < 1e-10
+
+
+def test_identity_record_holds_one_id_per_level():
+    pkg = Package()
+    state = pkg.make_basis_state(6, "000000")
+    for g in generate_random_circuit(6, 5, seed=3, cz_density=0.6).gates:
+        state = pkg.multiply(pkg.matrix_dd(6, g.qubits, g.operator()), state)
+        assert_identity_record(pkg)
+    # the identity below qubit q sits at level q - 1, for every q > 0 used
+    assert len(pkg._identity) == 5
+    pkg.gc([state])
+    assert pkg._identity == set()
+    pkg.matrix_dd(6, (), np.ones((1, 1)))
+    assert len(pkg._identity) == 6
+    assert_identity_record(pkg)
+
+
+@st.composite
+def gate_lists(draw):
+    """Up to 16 gates on 2-6 qubits over the full gate set, with operands at
+    random positions (two-qubit operands need not be adjacent)."""
+    n = draw(st.integers(2, 6))
+    gates = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        n_params, n_controls, n_targets = GATE_KINDS[kind]
+        qubits = draw(st.permutations(range(n)))[: n_controls + n_targets]
+        params = tuple(draw(st.floats(-6.3, 6.3)) for _ in range(n_params))
+        gates.append(Gate(kind, params, tuple(qubits[:n_controls]), tuple(qubits[n_controls:])))
+    return Circuit(n, tuple(gates))
+
+
+@given(gate_lists(), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_identity_skip_survives_id_reuse(c, gc_limit):
+    # a tiny gc_limit sweeps after nearly every gate, so freed ids, identity
+    # ones included, come back as other nodes
+    pkg = Package(gc_limit=gc_limit)
+    state = pkg.make_basis_state(c.n, "0" * c.n)
+    for g in c.gates:
+        state = pkg.multiply(pkg.matrix_dd(c.n, g.qubits, g.operator()), state)
+        assert_identity_record(pkg)
+        pkg.maybe_gc([state])
+        assert_identity_record(pkg)
+    assert np.abs(pkg.extract_statevector(state, c.n) - dense_simulate(c)).max() < 1e-10
 
 
 def test_kron_with_scalar_one_is_identity():

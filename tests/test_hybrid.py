@@ -665,6 +665,38 @@ def test_amp_workers_ship_one_row_per_nonzero_path():
     assert np.abs(summer.total(shipped, times) - dense_simulate(c)).max() < 1e-9
 
 
+def test_amp_total_holds_the_rows_once():
+    # 512 synthetic rows at n = 16 from four workers: forming the state may
+    # hold the rows once, the output, and one worker's share, never a second
+    # copy of all the rows
+    import tracemalloc
+
+    import qcdd.hybrid as hybrid_mod
+
+    n, cut, workers, share = 16, 8, 4, 128
+    rng = np.random.default_rng(7)
+
+    def rows(width):
+        return rng.normal(size=(share, width)) + 1j * rng.normal(size=(share, width))
+
+    tracemalloc.start()
+    try:
+        shipped = [(rows(1 << (n - cut)), rows(1 << cut)) for _ in range(workers)]
+        want = sum(u.T @ lo for u, lo in shipped).ravel()
+        row_bytes = sum(u.nbytes + lo.nbytes for u, lo in shipped)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        summer = hybrid_mod._AmpSum(n, cut, 1e-13, 30)
+        state = summer.total(shipped, dict.fromkeys(hybrid_mod._STAGES, 0.0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.abs(state - want).max() < 1e-9
+    # the rows are already held when total() starts, so only the output and
+    # one worker's share may come on top of them
+    assert peak < state.nbytes + row_bytes // workers
+
+
 def test_dd_ship_sends_only_live_nodes():
     import qcdd.hybrid as hybrid_mod
 
