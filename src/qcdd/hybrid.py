@@ -13,19 +13,29 @@ state); the path's summand is the tensor product of the two block states.
 Each block is folded by :func:`qcdd.schrodinger.apply_ops`, the reference
 engine's own gate loop.
 
+The paths are walked in order through the decision tree.  Each block's ops
+are split once at the decisions into segments, and a walk record holds a
+stack of prefix states per block, so a path resumes from the prefix it
+shares with the previous one and folds only the segments after it.  A
+prefix whose state is zero in either block answers every path under it
+with the zero edge, without folding.
+
 Both modes run one driver, ``_run_paths``, which hands the two block states
 of each path whose blocks are both non-zero to a "summer".  Each worker
-keeps one package per block for all of its paths, so the operator diagrams
-and compute tables stay warm from one path to the next.
+keeps one package per block and one walk record for all of its paths, so
+the prefix states, the operator diagrams and the compute tables stay warm
+from one path to the next.
 ``run_hybrid_amp`` keeps each path's two block arrays as rows and forms the
 state as one matrix product per worker's rows (``_AmpSum``);
 ``run_hybrid_dd`` splices the two block diagrams into one diagram inside
 the run's package and adds it there (``_DDSum``).
 
-With ``W`` workers, worker ``w`` is a forked OS process that sums paths
-``w, w + W, ...`` and replies through its own pipe; workers share no lock.
-An amplitude worker sends its rows, a DD worker its partial sum copied into
-a fresh package, and this process combines them.
+With ``W`` workers of ``P`` paths, worker ``w`` is a forked OS process that
+walks the contiguous path range ``[w * P // W, (w + 1) * P // W)``, so
+only a subtree cut by a range boundary has prefixes that two workers both
+fold.  It replies through its own pipe; workers share no lock.  An
+amplitude worker sends its rows, a DD worker its partial sum copied into a
+fresh package, and this process combines them.
 """
 
 from __future__ import annotations
@@ -78,17 +88,20 @@ class DecisionPoint:
 class Classification:
     """Gate indices per block plus the decision points, in circuit order.
 
-    ``lower_ops``/``upper_ops`` are each block's op sequence in circuit
-    order, in block-local qubits: ``(qubits, matrix, None)`` for a gate, or
-    ``((qubit,), factors, j)`` for decision ``j``, where ``factors[d]`` is
-    the block's 2x2 factor of term ``d``.
+    ``lower_segments``/``upper_segments`` are each block's ops in circuit
+    order, in block-local qubits, split at the decisions: segment 0 holds
+    the gates before decision 0, and segment ``j + 1`` opens with decision
+    ``j`` and holds the gates up to the next decision.  An op is
+    ``(qubits, matrix, None)`` for a gate, or ``((qubit,), factors, j)``
+    for decision ``j``, where ``factors[d]`` is the block's 2x2 factor of
+    term ``d``.
     """
 
     lower: list[int]
     upper: list[int]
     decisions: list[DecisionPoint]
-    lower_ops: list[tuple]
-    upper_ops: list[tuple]
+    lower_segments: list[list[tuple]]
+    upper_segments: list[list[tuple]]
 
     @property
     def path_count(self) -> int:
@@ -140,8 +153,8 @@ def classify(circuit: Circuit, partition: Partition) -> Classification:
     lower: list[int] = []
     upper: list[int] = []
     decisions: list[DecisionPoint] = []
-    lower_ops: list[tuple] = []
-    upper_ops: list[tuple] = []
+    lower_segments: list[list[tuple]] = [[]]
+    upper_segments: list[list[tuple]] = [[]]
     for i, g in enumerate(circuit.gates):
         qs = g.qubits
         lo = any(q < k for q in qs)
@@ -150,15 +163,15 @@ def classify(circuit: Circuit, partition: Partition) -> Classification:
             dp = schmidt_terms(g, partition, i)
             j = len(decisions)
             decisions.append(dp)
-            upper_ops.append(((dp.upper_qubit - k,), tuple(t[0] for t in dp.terms), j))
-            lower_ops.append(((dp.lower_qubit,), tuple(t[1] for t in dp.terms), j))
+            upper_segments.append([((dp.upper_qubit - k,), tuple(t[0] for t in dp.terms), j)])
+            lower_segments.append([((dp.lower_qubit,), tuple(t[1] for t in dp.terms), j)])
         elif lo:
             lower.append(i)
-            lower_ops.append((qs, g.operator(), None))
+            lower_segments[-1].append((qs, g.operator(), None))
         else:
             upper.append(i)
-            upper_ops.append((tuple(q - k for q in qs), g.operator(), None))
-    return Classification(lower, upper, decisions, lower_ops, upper_ops)
+            upper_segments[-1].append((tuple(q - k for q in qs), g.operator(), None))
+    return Classification(lower, upper, decisions, lower_segments, upper_segments)
 
 
 def path_digits(decisions: list[DecisionPoint], index: int) -> tuple[int, ...]:
@@ -173,6 +186,24 @@ def path_digits(decisions: list[DecisionPoint], index: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+class _Walk:
+    """A walk record: where a run of paths through the decision tree stands.
+
+    ``digits`` are the decisions taken so far.  ``upper``/``lower`` are the
+    two blocks' stacks of prefix states: entry ``s`` is the block state
+    after its segments ``0..s``, so each stack is one longer than
+    ``digits`` once the walk has started.  Both stacks stop growing at the
+    first zero state in either block.  A record serves one pair of block
+    packages and one classification.
+    """
+
+    def __init__(self, pkg_upper: Package, pkg_lower: Package):
+        self.packages = (pkg_upper, pkg_lower)
+        self.digits: tuple[int, ...] = ()
+        self.upper: list[Edge] = []
+        self.lower: list[Edge] = []
+
+
 def simulate_path(
     circuit: Circuit,
     partition: Partition,
@@ -181,12 +212,19 @@ def simulate_path(
     pkg_lower: Package,
     cls: Classification | None = None,
     check_norm: bool = False,
+    walk: _Walk | None = None,
 ) -> tuple[Edge, Edge]:
     """Simulate both blocks for one path; results live in the given (disjoint)
-    packages.  ``path`` holds one digit per decision point.  Each package
-    may collect garbage during its fold, with its own block state as the
-    only root, so a block state from an earlier call must not be needed
-    after this one."""
+    packages.  ``path`` holds one digit per decision point.
+
+    The path resumes from the longest prefix it shares with ``walk`` (a
+    fresh record when ``None``) and folds only the segments after it, both
+    blocks one decision at a time, pushing each prefix state on the
+    record.  Once either block's prefix state is zero, the path, and every
+    later path under that prefix, returns the zero edge for both blocks
+    without folding.  Each package may collect garbage during a fold, with
+    its block state and the record's stack as roots, so a block state from
+    an earlier call must not be needed after this one."""
     if pkg_upper is pkg_lower:
         raise ValueError("the two blocks need two different packages")
     if cls is None:
@@ -196,16 +234,38 @@ def simulate_path(
     for d, dp in zip(path, cls.decisions):
         if not 0 <= d < len(dp.terms):
             raise ValueError(f"digit {d} out of range for decision at gate {dp.gate_index}")
+    if walk is None:
+        walk = _Walk(pkg_upper, pkg_lower)
+    elif walk.packages[0] is not pkg_upper or walk.packages[1] is not pkg_lower:
+        raise ValueError("the walk record belongs to other packages")
     k = partition.cut
-    upper = apply_ops(pkg_upper, circuit.n - k, _path_ops(cls.upper_ops, path), check_norm)
-    lower = apply_ops(pkg_lower, k, _path_ops(cls.lower_ops, path), check_norm)
-    return upper, lower
+    blocks = (
+        (pkg_upper, circuit.n - k, cls.upper_segments, walk.upper),
+        (pkg_lower, k, cls.lower_segments, walk.lower),
+    )
+    shared = 0
+    while shared < len(walk.digits) and walk.digits[shared] == path[shared]:
+        shared += 1
+    del walk.upper[shared + 1 :], walk.lower[shared + 1 :]
+    while True:
+        if walk.upper and ZERO_EDGE in (walk.upper[-1], walk.lower[-1]):
+            return ZERO_EDGE, ZERO_EDGE
+        s = len(walk.upper)
+        if s > len(path):
+            return walk.upper[-1], walk.lower[-1]
+        upper, lower = [
+            apply_ops(pkg, n, _path_ops(segs[s], path), check_norm, stack[-1] if s else None, stack)
+            for pkg, n, segs, stack in blocks
+        ]
+        walk.upper.append(upper)
+        walk.lower.append(lower)
+        walk.digits = path[:s]
 
 
-def _path_ops(block_ops: list[tuple], path: tuple[int, ...]):
-    """A block's ``(qubits, matrix, unitary)`` ops on one path: each decision
+def _path_ops(segment: list[tuple], path: tuple[int, ...]):
+    """A segment's ``(qubits, matrix, unitary)`` ops on one path: a decision
     contributes the factor its digit selects."""
-    return ((qs, m if j is None else m[path[j]], j is None) for qs, m, j in block_ops)
+    return ((qs, m if j is None else m[path[j]], j is None) for qs, m, j in segment)
 
 
 @dataclass
@@ -348,41 +408,51 @@ class _DDSum:
 
 
 def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
-    """Worker ``w`` of ``workers``: simulate paths ``w, w + workers, ...``
-    in one package per block and fold each path whose two block states are
-    both non-zero into ``summer``.  Returns the stage times and the two
-    block packages' peak node counts added."""
+    """Worker ``w`` of ``workers``: walk the contiguous path range
+    ``[w * P // workers, (w + 1) * P // workers)`` of the ``P`` paths in
+    order, with one package per block and one walk record, and fold each
+    path whose two block states are both non-zero into ``summer``.  The
+    paths of a subtree are neighbours in the range, so the worker folds
+    each of its prefix states once.  Returns the stage times, the two block
+    packages' peak node counts added, and the number of zero paths."""
     times = dict.fromkeys(_STAGES, 0.0)
-    summer.reserve(len(range(w, cls.path_count, workers)))
+    paths = range(w * cls.path_count // workers, (w + 1) * cls.path_count // workers)
+    summer.reserve(len(paths))
     up = Package(summer.tol, extract_cap=summer.amp_cap)
     lo = Package(summer.tol, extract_cap=summer.amp_cap)
-    for i in range(w, cls.path_count, workers):
+    walk = _Walk(up, lo)
+    zero_paths = 0
+    for i in paths:
         digits = path_digits(cls.decisions, i)
         t0 = time.perf_counter()
-        ue, le = simulate_path(circuit, partition, digits, up, lo, cls, check_norm)
+        ue, le = simulate_path(circuit, partition, digits, up, lo, cls, check_norm, walk)
         times["simulate"] += time.perf_counter() - t0
-        if ZERO_EDGE not in (ue, le):
+        if ZERO_EDGE in (ue, le):
+            zero_paths += 1
+        else:
             summer.add_path(up, ue, lo, le, times)
-    return times, up.peak_nodes + lo.peak_nodes
+    return times, up.peak_nodes + lo.peak_nodes, zero_paths
 
 
 def _worker(circuit, partition, cls, w, workers, check_norm, summer, conn):
     """A forked worker: sums its paths and sends one reply through its pipe."""
     try:
-        times, max_nodes = _sum_paths(circuit, partition, cls, w, workers, check_norm, summer)
+        times, max_nodes, zero_paths = _sum_paths(
+            circuit, partition, cls, w, workers, check_norm, summer
+        )
         t0 = time.perf_counter()
         partial = summer.ship()
         times["add"] += time.perf_counter() - t0
-        conn.send(("ok", partial, times, max_nodes))
+        conn.send(("ok", partial, times, max_nodes, zero_paths))
     except BaseException:
-        conn.send(("err", traceback.format_exc(), None, 0))
+        conn.send(("err", traceback.format_exc()))
 
 
 def _fork_workers(circuit, partition, cls, workers, check_norm, summer) -> list[tuple]:
     """Fork the workers, each with its own pipe, and receive their replies
-    (partial, times, max_nodes) in turn.  A worker that raises sends its
-    traceback; one that dies without reporting (hard kill, out-of-memory)
-    leaves EOF on its pipe.  Either way the others are terminated, all are
+    (partial, times, max_nodes, zero_paths) in turn.  A worker that raises
+    sends its traceback; one that dies without reporting (hard kill,
+    out-of-memory) leaves EOF on its pipe.  Either way the others are terminated, all are
     joined, and the run fails instead of hanging."""
     ctx = mp.get_context("fork")
     procs, conns, replies = [], [], []
@@ -423,8 +493,10 @@ def _run_paths(circuit, partition, cls, workers, check_norm, summer):
     """The path sum of both modes; ``summer`` decides how paths recombine.
 
     With one worker the paths are summed in this process.  Otherwise worker
-    ``w`` of ``W`` is forked to sum paths ``w, w + W, ...``, and the
-    workers' partial sums are combined here.  Returns (sum, stats record).
+    ``w`` of ``W`` is forked to walk the ``w``-th of ``W`` contiguous path
+    ranges, and the workers' partial sums are combined here.  Returns (sum,
+    stats record); the record's ``zero_paths`` counts the paths answered
+    with a zero block state, over all workers.
 
     A summer is told how many paths it may get by ``reserve`` and takes each
     path by ``add_path``; a forked worker replies with ``ship()``, and
@@ -438,19 +510,23 @@ def _run_paths(circuit, partition, cls, workers, check_norm, summer):
     workers = min(workers or 1, total)
     t_start = time.perf_counter()
     if workers == 1:
-        times, max_nodes = _sum_paths(circuit, partition, cls, 0, 1, check_norm, summer)
+        times, max_nodes, zero_paths = _sum_paths(
+            circuit, partition, cls, 0, 1, check_norm, summer
+        )
         shipped = []
     else:
         replies = _fork_workers(circuit, partition, cls, workers, check_norm, summer)
-        shipped, worker_times, nodes = map(list, zip(*replies))
+        shipped, worker_times, nodes, zeros = map(list, zip(*replies))
         del replies  # so that total() can release each partial once used
         max_nodes = max(nodes)
+        zero_paths = sum(zeros)
         times = {stage: sum(t[stage] for t in worker_times) for stage in _STAGES}
     result = summer.total(shipped, times)
     times["total"] = time.perf_counter() - t_start
     return result, dict(
         mode=summer.mode, n=circuit.n, cut=partition.cut, decisions=len(cls.decisions),
         path_count=total, workers=workers, times=times, max_path_nodes=max_nodes,
+        zero_paths=zero_paths,
     )
 
 

@@ -11,16 +11,25 @@ from .circuit import Circuit
 from .dd import Edge, Package
 
 
-def apply_ops(pkg: Package, n: int, ops: Iterable[tuple], check_norm: bool = False) -> Edge:
-    """Fold ``(qubits, matrix, unitary)`` ops into |0...0> on ``n`` qubits.
+def apply_ops(
+    pkg: Package,
+    n: int,
+    ops: Iterable[tuple],
+    check_norm: bool = False,
+    start: Edge | None = None,
+    roots: Iterable[Edge] = (),
+) -> Edge:
+    """Fold ``(qubits, matrix, unitary)`` ops into ``start``, by default
+    |0...0> on ``n`` qubits.
 
-    The package may collect garbage after every op, with the state as its
-    only vector root.  ``check_norm`` asserts that every unitary op keeps
-    the norm; a non-unitary op (a decision factor, which projects) sets the
-    norm the following ops must keep.
+    The package may collect garbage after every op, with the state and
+    ``roots`` (states the caller still needs) as its vector roots.
+    ``check_norm`` asserts that every unitary op keeps the norm, which
+    starts as the start state's; a non-unitary op (a decision factor, which
+    projects) sets the norm the following ops must keep.
     """
-    state = pkg.make_basis_state(n, "0" * n)
-    expected = 1.0
+    state = pkg.make_basis_state(n, "0" * n) if start is None else start
+    expected = pkg.norm(state) if check_norm else 1.0
     for i, (qubits, matrix, unitary) in enumerate(ops):
         state = pkg.multiply(pkg.matrix_dd(n, qubits, matrix), state)
         if check_norm:
@@ -29,7 +38,7 @@ def apply_ops(pkg: Package, n: int, ops: Iterable[tuple], check_norm: bool = Fal
                 expected = nrm
             elif abs(nrm - expected) > 1e-10:
                 raise AssertionError(f"norm {nrm!r} != {expected!r} after op {i} on {qubits}")
-        pkg.maybe_gc([state])
+        pkg.maybe_gc([state, *roots])
     return state
 
 

@@ -16,7 +16,7 @@ from qcdd.circuit import (
     gate_matrix,
     generate_random_circuit,
 )
-from qcdd.dd import Package
+from qcdd.dd import ZERO_EDGE, Package
 from qcdd.hybrid import (
     Partition,
     TopologyError,
@@ -558,6 +558,116 @@ def test_engines_match_oracle_over_random_cuts(case):
     assert np.abs(rdd.package.extract_statevector(rdd.state, c.n) - ref).max() < 1e-9
 
 
+# from |0..0>, only the first term of the lower-control cx keeps both blocks
+# non-zero, so three of the four subtrees below decision 0 are zero; the
+# cross-cut swap makes the last decision a 4-term one (32 paths in all)
+ZERO_SUBTREES = Circuit(4, (
+    Gate("h", targets=(1,)),
+    Gate("h", targets=(3,)),
+    Gate("cx", controls=(0,), targets=(2,)),
+    Gate("cz", controls=(1,), targets=(3,)),
+    Gate("rx", (0.4,), targets=(2,)),
+    Gate("swap", targets=(3, 0)),
+    Gate("t", targets=(0,)),
+))
+
+
+def _path_term(c, cut, up, lo, edges):
+    """The summand of one path: the tensor product of its block arrays."""
+    ue, le = edges
+    if ZERO_EDGE in (ue, le):
+        return np.zeros(1 << c.n, dtype=complex)
+    return np.kron(up.extract_statevector(ue, c.n - cut), lo.extract_statevector(le, cut))
+
+
+@given(cut_circuits(), st.integers(1, 3), st.integers(0, 2))
+@example((CUT_LAST, 4), 1, 0)
+@example((ZERO_PATHS, 2), 2, 1)
+@example((ZERO_SUBTREES, 2), 1, 0)
+@example((ZERO_SUBTREES, 2), 3, 1)
+@settings(max_examples=80, deadline=None)
+def test_walk_matches_fresh_folds(case, workers, w):
+    # one walk record folds a worker's range in order; each fresh fold starts
+    # from |0..0> with a record of its own.  gc runs after every op, so a
+    # prefix state the walk resumes from survives only as a gc root
+    import qcdd.hybrid as hybrid_mod
+
+    c, cut = case
+    p = Partition(cut)
+    cls = classify(c, p)
+    w %= workers
+    up, lo = Package(gc_limit=0), Package(gc_limit=0)
+    fresh_up, fresh_lo = Package(gc_limit=0), Package(gc_limit=0)
+    walk = hybrid_mod._Walk(up, lo)
+    total = cls.path_count
+    for i in range(w * total // workers, (w + 1) * total // workers):
+        digits = path_digits(cls.decisions, i)
+        walked = simulate_path(c, p, digits, up, lo, cls, walk=walk)
+        fresh = simulate_path(c, p, digits, fresh_up, fresh_lo, cls)
+        got = _path_term(c, cut, up, lo, walked)
+        want = _path_term(c, cut, fresh_up, fresh_lo, fresh)
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_walk_record_belongs_to_its_packages(fig4):
+    import qcdd.hybrid as hybrid_mod
+
+    up, lo = Package(), Package()
+    walk = hybrid_mod._Walk(up, lo)
+    with pytest.raises(ValueError, match="other packages"):
+        simulate_path(fig4, Partition(2), (0, 0), up, Package(), walk=walk)
+
+
+def test_walk_prunes_zero_subtrees(monkeypatch):
+    import qcdd.hybrid as hybrid_mod
+
+    c, p = ZERO_SUBTREES, Partition(2)
+    cls = classify(c, p)
+    assert [len(dp.terms) for dp in cls.decisions] == [4, 2, 4]
+    # every gate is one op on a path, a decision one op in each block
+    ops = len(c.gates) + len(cls.decisions)
+    paths = []  # [digits, multiply calls] per simulate_path call
+    multiply = Package.multiply
+    real = hybrid_mod.simulate_path
+
+    def counted_multiply(pkg, m, v):
+        paths[-1][1] += 1
+        return multiply(pkg, m, v)
+
+    def recording(circuit, partition, path, *args, **kwargs):
+        paths.append([path, 0])
+        return real(circuit, partition, path, *args, **kwargs)
+
+    monkeypatch.setattr(Package, "multiply", counted_multiply)
+    monkeypatch.setattr(hybrid_mod, "simulate_path", recording)
+    res = run_hybrid_amp(c, p, workers=1)
+    assert np.abs(res.vector - dense_simulate(c)).max() < 1e-12
+    assert [digits for digits, _ in paths] == [
+        path_digits(cls.decisions, i) for i in range(cls.path_count)
+    ]
+    # the first path below a zero prefix finds it; the others fold nothing
+    for digits, calls in paths:
+        if digits[0] != 0 and any(digits[1:]):
+            assert calls == 0, digits
+    assert sum(calls for _, calls in paths) < cls.path_count * ops
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["workers-1", "workers-2"])
+def test_stats_count_zero_paths(workers):
+    cases = [(ZERO_SUBTREES, 2), (generate_random_circuit(8, 4, seed=2, cz_density=0.6), 4)]
+    for c, cut in cases:
+        p = Partition(cut)
+        cls = classify(c, p)
+        zero = 0
+        for i in range(cls.path_count):
+            ue, le = simulate_path(c, p, path_digits(cls.decisions, i), Package(), Package(), cls)
+            zero += ZERO_EDGE in (ue, le)
+        assert 0 < zero < cls.path_count
+        for res in (run_hybrid_amp(c, p, workers=workers), run_hybrid_dd(c, p, workers=workers)):
+            assert res.workers == workers
+            assert res.stats["zero_paths"] == zero
+
+
 def test_amp_extracts_only_block_arrays(monkeypatch):
     c = generate_random_circuit(8, 5, seed=0, cz_density=0.5)
     p = Partition(3)
@@ -612,11 +722,11 @@ def test_worker_failure_surfaces(monkeypatch):
         hybrid_mod.run_hybrid_dd(c, workers=2)
 
 
-@pytest.mark.parametrize("dying_path", [0, 1], ids=["worker-0", "worker-1"])
+@pytest.mark.parametrize("dying_worker", [0, 1], ids=["worker-0", "worker-1"])
 @pytest.mark.parametrize(
     "engine", ["run_hybrid_amp", "run_hybrid_dd"], ids=["hybrid-amp", "hybrid-dd"]
 )
-def test_one_worker_dies_the_other_finishes(monkeypatch, engine, dying_path):
+def test_one_worker_dies_the_other_finishes(monkeypatch, engine, dying_worker):
     import multiprocessing as mp
     import os
     import signal
@@ -627,7 +737,8 @@ def test_one_worker_dies_the_other_finishes(monkeypatch, engine, dying_path):
     c = generate_random_circuit(8, 4, seed=2, cz_density=0.6)
     cls = classify(c, default_partition(8))
     assert cls.path_count >= 4
-    fatal = path_digits(cls.decisions, dying_path)
+    # the first path of the dying worker's range [w * P // 2, (w + 1) * P // 2)
+    fatal = path_digits(cls.decisions, dying_worker * cls.path_count // 2)
     real = hybrid_mod.simulate_path
 
     def die_on_one_path(circuit, partition, path, *args, **kwargs):
@@ -635,7 +746,7 @@ def test_one_worker_dies_the_other_finishes(monkeypatch, engine, dying_path):
             os.kill(os.getpid(), signal.SIGKILL)
         return real(circuit, partition, path, *args, **kwargs)
 
-    # path i goes to worker i % 2: only that worker dies
+    # only the worker whose range holds the fatal path dies
     monkeypatch.setattr(hybrid_mod, "simulate_path", die_on_one_path)
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match=r"died without reporting \(exit code -9\)"):
@@ -658,7 +769,7 @@ def test_amp_workers_ship_one_row_per_nonzero_path():
     assert 0 < nonzero < cls.path_count
     summer = hybrid_mod._AmpSum(8, p.cut, 1e-13, 30)
     replies = hybrid_mod._fork_workers(c, p, cls, 2, False, summer)
-    shipped = [partial for partial, _, _ in replies]
+    shipped = [partial for partial, *_ in replies]
     assert sum(len(upper) for upper, _ in shipped) == nonzero
     assert sum(len(lower) for _, lower in shipped) == nonzero
     times = dict.fromkeys(hybrid_mod._STAGES, 0.0)
@@ -743,7 +854,10 @@ def test_one_vs_two_workers_over_random_cuts(case):
 def test_stats_record_is_json_ready(fig4):
     for res in (run_hybrid_dd(fig4, workers=2), run_hybrid_amp(fig4, workers=2)):
         rec = json.loads(json.dumps(res.stats))
-        for key in ("mode", "n", "cut", "decisions", "path_count", "workers", "times", "max_path_nodes"):
+        for key in (
+            "mode", "n", "cut", "decisions", "path_count", "workers", "times", "max_path_nodes",
+            "zero_paths",
+        ):
             assert key in rec
         for stage in ("simulate", "kron", "extract", "add", "total"):
             assert stage in rec["times"]
