@@ -69,7 +69,7 @@ class Package:
         # ids of the identity matrix nodes, at most one per level: diagonal
         # successors (ONE, t) with t the terminal or an identity, zeros elsewhere
         self._identity: set[int] = set()
-        # (n, qubits, matrix bytes) -> operator diagram, and the compute
+        # (n, qubits, shape, dtype, bytes) -> operator diagram, and the compute
         # tables of raw-weight results; all dropped wholesale on gc
         self._memo_op: dict[tuple, Edge] = {}
         self._memo_add: dict = {}
@@ -482,21 +482,23 @@ class Package:
         """Matrix diagram of ``base`` acting on the listed qubits (first listed
         = most significant matrix bit), identity on all other qubits.
 
-        Memoized by content, under ``(n, qubits, matrix bytes)``, until the
-        next :meth:`gc`, so a reused package never returns a stale diagram;
-        like any edge that is not a gc root, the returned one is invalid
-        after a collection.
+        Memoized by content, under ``(n, qubits, shape, dtype, matrix
+        bytes)`` of the array as given, until the next :meth:`gc`, so a
+        reused package never returns a stale diagram; like any edge that is
+        not a gc root, the returned one is invalid after a collection.  The
+        memo is consulted before the arguments are validated: a key is only
+        stored once its arguments have passed.
         """
+        key = (n, tuple(qubits), base.shape, base.dtype.char, base.tobytes())
+        e = self._memo_op.get(key)
+        if e is not None:
+            return e
         m = len(qubits)
         base = np.asarray(base, dtype=complex)
         if base.shape != (1 << m, 1 << m):
             raise ValueError(f"operator shape {base.shape} does not match {m} qubit(s)")
         if any(q < 0 or q >= n for q in qubits):
             raise ValueError(f"operand {qubits} out of range for n={n}")
-        key = (n, tuple(qubits), base.tobytes())
-        e = self._memo_op.get(key)
-        if e is not None:
-            return e
         order = sorted(range(m), key=lambda i: -qubits[i])
         if order != list(range(m)):
             t = base.reshape((2,) * (2 * m))

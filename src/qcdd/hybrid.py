@@ -18,7 +18,10 @@ are split once at the decisions into segments, and a walk record holds a
 stack of prefix states per block, so a path resumes from the prefix it
 shares with the previous one and folds only the segments after it.  A
 prefix whose state is zero in either block answers every path under it
-with the zero edge, without folding.
+with the zero edge, without folding.  The decision factors project, so
+many prefixes reach the same block node past a decision: the walk record
+also keeps, per block, a table of the segment folds it has made from
+each such node, and answers a repeat by rescaling the stored end state.
 
 Both modes run one driver, ``_run_paths``, which hands the two block states
 of each path whose blocks are both non-zero to a "summer".  Each worker
@@ -26,7 +29,8 @@ keeps one package per block and one walk record for all of its paths, so
 the prefix states, the operator diagrams and the compute tables stay warm
 from one path to the next.
 ``run_hybrid_amp`` keeps each path's two block arrays as rows and forms the
-state as one matrix product per worker's rows (``_AmpSum``);
+state as one matrix product per worker's rows (``_AmpSum``); a block node
+is extracted once, and a later row on the same node is that row rescaled;
 ``run_hybrid_dd`` splices the two block diagrams into one diagram inside
 the run's package and adds it there (``_DDSum``).
 
@@ -45,6 +49,7 @@ import multiprocessing as mp
 import time
 import traceback
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -189,19 +194,61 @@ def path_digits(decisions: list[DecisionPoint], index: int) -> tuple[int, ...]:
 class _Walk:
     """A walk record: where a run of paths through the decision tree stands.
 
-    ``digits`` are the decisions taken so far.  ``upper``/``lower`` are the
-    two blocks' stacks of prefix states: entry ``s`` is the block state
-    after its segments ``0..s``, so each stack is one longer than
+    ``digits`` are the decisions taken so far.  ``stacks`` holds the upper
+    and the lower block's stack of prefix states: entry ``s`` is the block
+    state after its segments ``0..s``, so each stack is one longer than
     ``digits`` once the walk has started.  Both stacks stop growing at the
     first zero state in either block.  A record serves one pair of block
     packages and one classification.
+
+    ``folds`` holds one fold table per block.  Past its opening decision
+    factor a segment holds only gates, which do not depend on the digit,
+    and a fold is linear, so a segment folded from ``(w, node)`` ends on the
+    same node as a fold from any other weight on ``node``, with its weight
+    scaled.  A table maps ``(s, node)`` to the start weight and end edge of
+    the first fold of segment ``s`` past its factor from ``node``.  Node
+    ids are reused after a garbage collection, so a block's table is
+    dropped as soon as its package's ``gc_runs`` has moved; it never holds
+    more entries than the block's folds since then.  ``fold_hits`` counts
+    the folds the tables answered.
     """
 
     def __init__(self, pkg_upper: Package, pkg_lower: Package):
         self.packages = (pkg_upper, pkg_lower)
         self.digits: tuple[int, ...] = ()
-        self.upper: list[Edge] = []
-        self.lower: list[Edge] = []
+        self.stacks: tuple[list[Edge], list[Edge]] = ([], [])
+        self.folds: tuple[dict, dict] = ({}, {})
+        self.gc_runs = [pkg_upper.gc_runs, pkg_lower.gc_runs]
+        self.fold_hits = 0
+
+    def fold(self, b: int, n: int, ops: Iterator[tuple], check_norm: bool) -> Edge:
+        """Block ``b``'s (0 upper, 1 lower) state after its next segment on
+        ``n`` qubits, whose ops on this path are ``ops``: segment 0 from
+        |0...0>, a later one from the top of the block's stack.  Past the
+        segment's decision factor, a zero state is the end state, and the
+        fold table answers a state whose node it holds for that segment;
+        otherwise the rest is folded, and stored unless the package
+        collected garbage meanwhile."""
+        pkg, stack, table = self.packages[b], self.stacks[b], self.folds[b]
+        s = len(stack)
+        if not s:
+            return apply_ops(pkg, n, ops, check_norm, None, stack)
+        start = apply_ops(pkg, n, [next(ops)], check_norm, stack[-1], stack)
+        if start == ZERO_EDGE:
+            return start
+        if self.gc_runs[b] != pkg.gc_runs:
+            table.clear()
+            self.gc_runs[b] = pkg.gc_runs
+        key = (s, start[1])
+        hit = table.get(key)
+        if hit is not None:
+            self.fold_hits += 1
+            w, (end_w, end_t) = hit
+            return pkg._intern((end_w * (start[0] / w), end_t))
+        end = apply_ops(pkg, n, ops, check_norm, start, stack)
+        if self.gc_runs[b] == pkg.gc_runs:
+            table[key] = start[0], end
+        return end
 
 
 def simulate_path(
@@ -220,11 +267,16 @@ def simulate_path(
     The path resumes from the longest prefix it shares with ``walk`` (a
     fresh record when ``None``) and folds only the segments after it, both
     blocks one decision at a time, pushing each prefix state on the
-    record.  Once either block's prefix state is zero, the path, and every
-    later path under that prefix, returns the zero edge for both blocks
-    without folding.  Each package may collect garbage during a fold, with
-    its block state and the record's stack as roots, so a block state from
-    an earlier call must not be needed after this one."""
+    record.  A segment whose state past its decision factor sits on a node
+    the record has already folded that segment from is not folded again:
+    the stored end state is rescaled (see :class:`_Walk`).  With
+    ``check_norm`` such a hit is not checked again; it repeats a fold that
+    passed the check, and the norm scales with the weight.  Once either
+    block's prefix state is zero, the path, and every later path under that
+    prefix, returns the zero edge for both blocks without folding.  Each
+    package may collect garbage during a fold, with its block state and the
+    record's stack as roots, so a block state from an earlier call must not
+    be needed after this one."""
     if pkg_upper is pkg_lower:
         raise ValueError("the two blocks need two different packages")
     if cls is None:
@@ -239,26 +291,24 @@ def simulate_path(
     elif walk.packages[0] is not pkg_upper or walk.packages[1] is not pkg_lower:
         raise ValueError("the walk record belongs to other packages")
     k = partition.cut
-    blocks = (
-        (pkg_upper, circuit.n - k, cls.upper_segments, walk.upper),
-        (pkg_lower, k, cls.lower_segments, walk.lower),
-    )
+    blocks = ((circuit.n - k, cls.upper_segments), (k, cls.lower_segments))
+    upper, lower = walk.stacks
     shared = 0
     while shared < len(walk.digits) and walk.digits[shared] == path[shared]:
         shared += 1
-    del walk.upper[shared + 1 :], walk.lower[shared + 1 :]
+    del upper[shared + 1 :], lower[shared + 1 :]
     while True:
-        if walk.upper and ZERO_EDGE in (walk.upper[-1], walk.lower[-1]):
+        if upper and ZERO_EDGE in (upper[-1], lower[-1]):
             return ZERO_EDGE, ZERO_EDGE
-        s = len(walk.upper)
+        s = len(upper)
         if s > len(path):
-            return walk.upper[-1], walk.lower[-1]
-        upper, lower = [
-            apply_ops(pkg, n, _path_ops(segs[s], path), check_norm, stack[-1] if s else None, stack)
-            for pkg, n, segs, stack in blocks
+            return upper[-1], lower[-1]
+        ends = [
+            walk.fold(b, n, _path_ops(segs[s], path), check_norm)
+            for b, (n, segs) in enumerate(blocks)
         ]
-        walk.upper.append(upper)
-        walk.lower.append(lower)
+        upper.append(ends[0])
+        lower.append(ends[1])
         walk.digits = path[:s]
 
 
@@ -294,7 +344,13 @@ class _AmpSum:
     with the upper block in the high bits, is ``U.T @ L``, where row ``p`` of
     ``U`` and ``L`` holds path ``p``'s upper and lower block array.  Each
     worker fills one preallocated ``U_w`` and ``L_w`` for its share of paths
-    and ships the filled rows; the state is the sum of the ``U_w.T @ L_w``."""
+    and ships the filled rows; the state is the sum of the ``U_w.T @ L_w``.
+
+    Many paths end on the same block node.  Per block, ``filled`` maps a
+    node id to the row and edge weight of the first row extracted from that
+    node, and a later path ending on the node fills its row with that row
+    rescaled, without extracting again.  The map is cleared when the block
+    package has collected garbage, since node ids are then reused."""
 
     mode = "hybrid-amp"
 
@@ -306,19 +362,35 @@ class _AmpSum:
         self.upper: np.ndarray | None = None
         self.lower: np.ndarray | None = None
         self.rows = 0
+        self.filled: list[tuple[dict, int]] = []
 
     def reserve(self, paths: int):
         """Room for the rows of up to ``paths`` paths."""
         self.upper = np.empty((paths, 1 << (self.n - self.cut)), dtype=complex)
         self.lower = np.empty((paths, 1 << self.cut), dtype=complex)
         self.rows = 0
+        self.filled = [({}, -1), ({}, -1)]
 
     def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
-        self.upper[self.rows] = up.extract_statevector(ue, self.n - self.cut)
-        self.lower[self.rows] = lo.extract_statevector(le, self.cut)
+        self._fill(0, self.upper, up, ue, self.n - self.cut)
+        self._fill(1, self.lower, lo, le, self.cut)
         self.rows += 1
         times["extract"] += time.perf_counter() - t0
+
+    def _fill(self, b: int, rows: np.ndarray, pkg: Package, e: Edge, width: int):
+        """Row ``self.rows`` of block ``b``'s ``rows``: the array of ``e``."""
+        filled, gc_runs = self.filled[b]
+        if gc_runs != pkg.gc_runs:
+            filled = {}
+            self.filled[b] = filled, pkg.gc_runs
+        hit = filled.get(e[1])
+        if hit is None:
+            rows[self.rows] = pkg.extract_statevector(e, width)
+            filled[e[1]] = self.rows, e[0]
+        else:
+            r, w = hit
+            np.multiply(rows[r], e[0] / w, out=rows[self.rows])
 
     def ship(self):
         return self.upper[: self.rows], self.lower[: self.rows]
@@ -414,7 +486,8 @@ def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
     path whose two block states are both non-zero into ``summer``.  The
     paths of a subtree are neighbours in the range, so the worker folds
     each of its prefix states once.  Returns the stage times, the two block
-    packages' peak node counts added, and the number of zero paths."""
+    packages' peak node counts added, the number of zero paths and the
+    walk record's ``fold_hits``."""
     times = dict.fromkeys(_STAGES, 0.0)
     paths = range(w * cls.path_count // workers, (w + 1) * cls.path_count // workers)
     summer.reserve(len(paths))
@@ -431,29 +504,27 @@ def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
             zero_paths += 1
         else:
             summer.add_path(up, ue, lo, le, times)
-    return times, up.peak_nodes + lo.peak_nodes, zero_paths
+    return times, up.peak_nodes + lo.peak_nodes, zero_paths, walk.fold_hits
 
 
 def _worker(circuit, partition, cls, w, workers, check_norm, summer, conn):
     """A forked worker: sums its paths and sends one reply through its pipe."""
     try:
-        times, max_nodes, zero_paths = _sum_paths(
-            circuit, partition, cls, w, workers, check_norm, summer
-        )
+        times, *counts = _sum_paths(circuit, partition, cls, w, workers, check_norm, summer)
         t0 = time.perf_counter()
         partial = summer.ship()
         times["add"] += time.perf_counter() - t0
-        conn.send(("ok", partial, times, max_nodes, zero_paths))
+        conn.send(("ok", partial, times, *counts))
     except BaseException:
         conn.send(("err", traceback.format_exc()))
 
 
 def _fork_workers(circuit, partition, cls, workers, check_norm, summer) -> list[tuple]:
     """Fork the workers, each with its own pipe, and receive their replies
-    (partial, times, max_nodes, zero_paths) in turn.  A worker that raises
-    sends its traceback; one that dies without reporting (hard kill,
-    out-of-memory) leaves EOF on its pipe.  Either way the others are terminated, all are
-    joined, and the run fails instead of hanging."""
+    (partial, times, max_nodes, zero_paths, fold_hits) in turn.  A worker
+    that raises sends its traceback; one that dies without reporting (hard
+    kill, out-of-memory) leaves EOF on its pipe.  Either way the others are
+    terminated, all are joined, and the run fails instead of hanging."""
     ctx = mp.get_context("fork")
     procs, conns, replies = [], [], []
     try:
@@ -496,7 +567,8 @@ def _run_paths(circuit, partition, cls, workers, check_norm, summer):
     ``w`` of ``W`` is forked to walk the ``w``-th of ``W`` contiguous path
     ranges, and the workers' partial sums are combined here.  Returns (sum,
     stats record); the record's ``zero_paths`` counts the paths answered
-    with a zero block state, over all workers.
+    with a zero block state and its ``fold_hits`` the segment folds answered
+    from the walk records' fold tables, both over all workers.
 
     A summer is told how many paths it may get by ``reserve`` and takes each
     path by ``add_path``; a forked worker replies with ``ship()``, and
@@ -510,23 +582,24 @@ def _run_paths(circuit, partition, cls, workers, check_norm, summer):
     workers = min(workers or 1, total)
     t_start = time.perf_counter()
     if workers == 1:
-        times, max_nodes, zero_paths = _sum_paths(
+        times, max_nodes, zero_paths, fold_hits = _sum_paths(
             circuit, partition, cls, 0, 1, check_norm, summer
         )
         shipped = []
     else:
         replies = _fork_workers(circuit, partition, cls, workers, check_norm, summer)
-        shipped, worker_times, nodes, zeros = map(list, zip(*replies))
+        shipped, worker_times, nodes, zeros, hits = map(list, zip(*replies))
         del replies  # so that total() can release each partial once used
         max_nodes = max(nodes)
         zero_paths = sum(zeros)
+        fold_hits = sum(hits)
         times = {stage: sum(t[stage] for t in worker_times) for stage in _STAGES}
     result = summer.total(shipped, times)
     times["total"] = time.perf_counter() - t_start
     return result, dict(
         mode=summer.mode, n=circuit.n, cut=partition.cut, decisions=len(cls.decisions),
         path_count=total, workers=workers, times=times, max_path_nodes=max_nodes,
-        zero_paths=zero_paths,
+        zero_paths=zero_paths, fold_hits=fold_hits,
     )
 
 

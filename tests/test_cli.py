@@ -87,6 +87,7 @@ def test_run_stats_json(tmp_path, fig4_qasm, capsys):
     rec = json.loads(out.strip().splitlines()[-1])
     assert rec["mode"] == "hybrid-amp"
     assert rec["path_count"] == 4 and rec["decisions"] == 2
+    assert rec["fold_hits"] >= 0
 
 
 def test_run_stats_json_schrodinger(tmp_path, fig4_qasm, capsys):

@@ -288,6 +288,21 @@ def test_multiply_qubit_mismatch():
         pkg.multiply(m, v)
 
 
+def test_matrix_dd_memo_hit_keeps_validation():
+    # the memo is consulted before validating, so its key must tell a valid
+    # call from an invalid one with the same bytes
+    pkg = Package()
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    op = pkg.matrix_dd(3, (1,), x)
+    assert pkg.matrix_dd(3, (1,), x.copy()) == op
+    with pytest.raises(ValueError, match="shape"):
+        pkg.matrix_dd(3, (1,), x.reshape(1, 4))
+    with pytest.raises(ValueError, match="out of range"):
+        pkg.matrix_dd(3, (3,), x)
+    with pytest.raises(ValueError, match="out of range"):
+        pkg.matrix_dd(1, (1,), x)
+
+
 def identity_ids(pkg):
     """Ids of the live matrix nodes whose dense matrix is exactly the
     identity."""

@@ -580,24 +580,49 @@ def _path_term(c, cut, up, lo, edges):
     return np.kron(up.extract_statevector(ue, c.n - cut), lo.extract_statevector(le, cut))
 
 
-@given(cut_circuits(), st.integers(1, 3), st.integers(0, 2))
-@example((CUT_LAST, 4), 1, 0)
-@example((ZERO_PATHS, 2), 2, 1)
-@example((ZERO_SUBTREES, 2), 1, 0)
-@example((ZERO_SUBTREES, 2), 3, 1)
+# every cz has its control on qubit 2, which an h puts back in |+> before
+# each decision: past decision j's projector the upper block is |d_j> on
+# qubit 2 whatever the earlier digits, and a Z on a lower qubit still in
+# |0> leaves the state as it is, so post-decision block states repeat
+REPEATS = Circuit(4, (
+    Gate("h", targets=(2,)),
+    Gate("h", targets=(0,)),
+    Gate("ry", (0.3,), targets=(3,)),
+    Gate("cz", controls=(2,), targets=(0,)),
+    Gate("h", targets=(2,)),
+    Gate("cz", controls=(2,), targets=(1,)),
+    Gate("h", targets=(2,)),
+    Gate("rx", (0.8,), targets=(1,)),
+    Gate("cz", controls=(2,), targets=(0,)),
+    Gate("t", targets=(3,)),
+    Gate("h", targets=(0,)),
+))
+
+
+@given(cut_circuits(), st.integers(1, 3), st.integers(0, 2), st.booleans())
+@example((CUT_LAST, 4), 1, 0, True)
+@example((ZERO_PATHS, 2), 2, 1, True)
+@example((ZERO_SUBTREES, 2), 1, 0, True)
+@example((ZERO_SUBTREES, 2), 3, 1, True)
+@example((ZERO_SUBTREES, 2), 1, 0, False)
+@example((REPEATS, 2), 1, 0, False)
+@example((REPEATS, 2), 2, 1, False)
 @settings(max_examples=80, deadline=None)
-def test_walk_matches_fresh_folds(case, workers, w):
+def test_walk_matches_fresh_folds(case, workers, w, gc_every_op):
     # one walk record folds a worker's range in order; each fresh fold starts
-    # from |0..0> with a record of its own.  gc runs after every op, so a
-    # prefix state the walk resumes from survives only as a gc root
+    # from |0..0> with a record of its own.  With gc after every op, a prefix
+    # state the walk resumes from survives only as a gc root, and the fold
+    # tables are dropped at every op; with the default limit they answer
+    # repeated post-decision states
     import qcdd.hybrid as hybrid_mod
 
     c, cut = case
     p = Partition(cut)
     cls = classify(c, p)
     w %= workers
-    up, lo = Package(gc_limit=0), Package(gc_limit=0)
-    fresh_up, fresh_lo = Package(gc_limit=0), Package(gc_limit=0)
+    limit = {"gc_limit": 0} if gc_every_op else {}
+    up, lo = Package(**limit), Package(**limit)
+    fresh_up, fresh_lo = Package(**limit), Package(**limit)
     walk = hybrid_mod._Walk(up, lo)
     total = cls.path_count
     for i in range(w * total // workers, (w + 1) * total // workers):
@@ -650,6 +675,83 @@ def test_walk_prunes_zero_subtrees(monkeypatch):
         if digits[0] != 0 and any(digits[1:]):
             assert calls == 0, digits
     assert sum(calls for _, calls in paths) < cls.path_count * ops
+
+
+def test_walk_folds_a_repeated_segment_once(monkeypatch):
+    # without the fold tables the walk folds each segment once per prefix;
+    # with them, a post-decision state the record has folded that segment
+    # from costs only its decision factor
+    c, p = REPEATS, Partition(2)
+    cls = classify(c, p)
+    assert cls.path_count == 8
+    once_per_prefix = 0
+    prefixes = 1
+    for s, segs in enumerate(zip(cls.upper_segments, cls.lower_segments)):
+        if s:
+            prefixes *= len(cls.decisions[s - 1].terms)
+        once_per_prefix += prefixes * sum(map(len, segs))
+    calls = 0
+    multiply = Package.multiply
+
+    def counted_multiply(pkg, m, v):
+        nonlocal calls
+        calls += 1
+        return multiply(pkg, m, v)
+
+    monkeypatch.setattr(Package, "multiply", counted_multiply)
+    res = run_hybrid_amp(c, p, workers=1)
+    assert res.stats["zero_paths"] == 0 and res.stats["fold_hits"] > 0
+    assert calls < once_per_prefix
+    assert np.abs(res.vector - dense_simulate(c)).max() < 1e-12
+
+
+def test_amp_extracts_each_block_node_once(monkeypatch):
+    c, p = REPEATS, Partition(2)
+    extracted = []
+    extract = Package.extract_statevector
+
+    def recording(pkg, e, n=None):
+        extracted.append((id(pkg), e[1]))
+        return extract(pkg, e, n)
+
+    monkeypatch.setattr(Package, "extract_statevector", recording)
+    res = run_hybrid_amp(c, p, workers=1)
+    # two block arrays per path without reuse, one per distinct node with it
+    assert len(extracted) == len(set(extracted)) < 2 * res.path_count
+    assert np.abs(res.vector - dense_simulate(c)).max() < 1e-12
+
+
+def test_amp_row_reuse_survives_gc(monkeypatch):
+    # block packages that collect garbage after every op reuse node ids from
+    # path to path, so a row kept for a node id must not outlive a gc
+    import functools
+
+    import qcdd.hybrid as hybrid_mod
+
+    monkeypatch.setattr(hybrid_mod, "Package", functools.partial(Package, gc_limit=0))
+    cases = [(REPEATS, 2), (ZERO_SUBTREES, 2)] + [
+        (generate_random_circuit(6, 5, seed=seed, cz_density=0.6), 3) for seed in range(4)
+    ]
+    for c, cut in cases:
+        res = run_hybrid_amp(c, Partition(cut), workers=1)
+        assert np.abs(res.vector - dense_simulate(c)).max() < 1e-12
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["workers-1", "workers-2"])
+def test_stats_sum_fold_hits_over_workers(workers):
+    import qcdd.hybrid as hybrid_mod
+
+    c, p = REPEATS, Partition(2)
+    cls = classify(c, p)
+    hits = 0
+    for w in range(workers):
+        walk = hybrid_mod._Walk(Package(), Package())
+        for i in range(w * cls.path_count // workers, (w + 1) * cls.path_count // workers):
+            simulate_path(c, p, path_digits(cls.decisions, i), *walk.packages, cls, walk=walk)
+        hits += walk.fold_hits
+    assert hits > 0
+    for res in (run_hybrid_amp(c, p, workers=workers), run_hybrid_dd(c, p, workers=workers)):
+        assert res.stats["fold_hits"] == hits
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["workers-1", "workers-2"])
@@ -856,7 +958,7 @@ def test_stats_record_is_json_ready(fig4):
         rec = json.loads(json.dumps(res.stats))
         for key in (
             "mode", "n", "cut", "decisions", "path_count", "workers", "times", "max_path_nodes",
-            "zero_paths",
+            "zero_paths", "fold_hits",
         ):
             assert key in rec
         for stage in ("simulate", "kron", "extract", "add", "total"):
