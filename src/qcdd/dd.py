@@ -41,6 +41,7 @@ are moved between packages with :meth:`Package.import_edge`.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable
 
 import numpy as np
@@ -69,13 +70,26 @@ class Package:
         # ids of the identity matrix nodes, at most one per level: diagonal
         # successors (ONE, t) with t the terminal or an identity, zeros elsewhere
         self._identity: set[int] = set()
-        # (n, qubits, shape, dtype, bytes) -> operator diagram, and the compute
+        # (n, qubits, matrix bytes) -> operator diagram, and the compute
         # tables of raw-weight results; all dropped wholesale on gc
         self._memo_op: dict[tuple, Edge] = {}
         self._memo_add: dict = {}
         self._memo_mul: dict = {}
+        # owner -> its dict keyed by node ids (see node_table); dropped on gc
+        self._node_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.peak_nodes = 0
         self.gc_runs = 0
+
+    def __getstate__(self) -> dict:
+        # the node tables are keyed by owners in this process; a copy of the
+        # package starts without them
+        state = self.__dict__.copy()
+        del state["_node_tables"]
+        return state
+
+    def __setstate__(self, state: dict):
+        self.__dict__.update(state)
+        self._node_tables = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # node construction (the normalization scheme lives here)
@@ -482,23 +496,21 @@ class Package:
         """Matrix diagram of ``base`` acting on the listed qubits (first listed
         = most significant matrix bit), identity on all other qubits.
 
-        Memoized by content, under ``(n, qubits, shape, dtype, matrix
-        bytes)`` of the array as given, until the next :meth:`gc`, so a
-        reused package never returns a stale diagram; like any edge that is
-        not a gc root, the returned one is invalid after a collection.  The
-        memo is consulted before the arguments are validated: a key is only
-        stored once its arguments have passed.
+        Memoized by content, under ``(n, qubits, matrix bytes)``, until the
+        next :meth:`gc`, so a reused package never returns a stale diagram;
+        like any edge that is not a gc root, the returned one is invalid
+        after a collection.
         """
-        key = (n, tuple(qubits), base.shape, base.dtype.char, base.tobytes())
-        e = self._memo_op.get(key)
-        if e is not None:
-            return e
         m = len(qubits)
         base = np.asarray(base, dtype=complex)
         if base.shape != (1 << m, 1 << m):
             raise ValueError(f"operator shape {base.shape} does not match {m} qubit(s)")
         if any(q < 0 or q >= n for q in qubits):
             raise ValueError(f"operand {qubits} out of range for n={n}")
+        key = (n, tuple(qubits), base.tobytes())
+        e = self._memo_op.get(key)
+        if e is not None:
+            return e
         order = sorted(range(m), key=lambda i: -qubits[i])
         if order != list(range(m)):
             t = base.reshape((2,) * (2 * m))
@@ -532,9 +544,9 @@ class Package:
         """Mark-and-sweep from the given roots.
 
         Every node the roots cannot reach, vector or matrix, is reclaimed and
-        leaves ``_identity``; the operator memo and the compute tables are
-        dropped (operand ids may be reused), and weight-table entries no
-        longer referenced by live nodes or roots are released.  Reachable
+        leaves ``_identity``; the operator memo, the compute tables and the
+        node tables are dropped (operand ids may be reused), and weight-table
+        entries no longer referenced by live nodes or roots are released.  Reachable
         diagrams are untouched: their edges stay valid and mean the same
         vectors.  Any other edge, an operator diagram from :meth:`matrix_dd`
         included, is invalid afterwards.
@@ -553,12 +565,24 @@ class Package:
         self._memo_op.clear()
         self._memo_add.clear()
         self._memo_mul.clear()
+        self._node_tables.clear()
         live_w = {w for w, _ in roots}
         for entry in self._table:
             live_w.update(entry[1::2])
         self.weights.gc(live_w)
         self.gc_runs += 1
         return reclaimed
+
+    def node_table(self, owner) -> dict:
+        """``owner``'s dict for results keyed by this package's node ids,
+        kept while ``owner`` lives (the package holds it weakly).  Node ids
+        are reused after a collection, so :meth:`gc` drops every such dict:
+        fetch it again after anything that may collect, and store a key
+        taken before a collection nowhere."""
+        table = self._node_tables.get(owner)
+        if table is None:
+            table = self._node_tables[owner] = {}
+        return table
 
     def maybe_gc(self, roots: Iterable[Edge] = ()) -> int:
         """Run :meth:`gc` when the nodes and every cache, the operator memo

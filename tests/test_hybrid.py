@@ -599,30 +599,18 @@ REPEATS = Circuit(4, (
 ))
 
 
-@given(cut_circuits(), st.integers(1, 3), st.integers(0, 2), st.booleans())
-@example((CUT_LAST, 4), 1, 0, True)
-@example((ZERO_PATHS, 2), 2, 1, True)
-@example((ZERO_SUBTREES, 2), 1, 0, True)
-@example((ZERO_SUBTREES, 2), 3, 1, True)
-@example((ZERO_SUBTREES, 2), 1, 0, False)
-@example((REPEATS, 2), 1, 0, False)
-@example((REPEATS, 2), 2, 1, False)
-@settings(max_examples=80, deadline=None)
-def test_walk_matches_fresh_folds(case, workers, w, gc_every_op):
-    # one walk record folds a worker's range in order; each fresh fold starts
-    # from |0..0> with a record of its own.  With gc after every op, a prefix
-    # state the walk resumes from survives only as a gc root, and the fold
-    # tables are dropped at every op; with the default limit they answer
-    # repeated post-decision states
+def _check_walk_against_fresh_folds(case, workers, w, **package_args):
+    """One walk record folds worker ``w``'s range in order; each fresh fold
+    starts from |0..0> with a record of its own, so it never meets a fold
+    table entry."""
     import qcdd.hybrid as hybrid_mod
 
     c, cut = case
     p = Partition(cut)
     cls = classify(c, p)
     w %= workers
-    limit = {"gc_limit": 0} if gc_every_op else {}
-    up, lo = Package(**limit), Package(**limit)
-    fresh_up, fresh_lo = Package(**limit), Package(**limit)
+    up, lo = Package(**package_args), Package(**package_args)
+    fresh_up, fresh_lo = Package(**package_args), Package(**package_args)
     walk = hybrid_mod._Walk(up, lo)
     total = cls.path_count
     for i in range(w * total // workers, (w + 1) * total // workers):
@@ -632,6 +620,36 @@ def test_walk_matches_fresh_folds(case, workers, w, gc_every_op):
         got = _path_term(c, cut, up, lo, walked)
         want = _path_term(c, cut, fresh_up, fresh_lo, fresh)
         assert np.abs(got - want).max() < 1e-12
+
+
+@given(cut_circuits(), st.integers(1, 3), st.integers(0, 2))
+@example((CUT_LAST, 4), 1, 0)
+@example((ZERO_PATHS, 2), 2, 1)
+@example((ZERO_SUBTREES, 2), 1, 0)
+@example((ZERO_SUBTREES, 2), 3, 1)
+@settings(max_examples=80, deadline=None)
+def test_walk_matches_fresh_folds(case, workers, w):
+    # gc runs after every op, so a prefix state the walk resumes from
+    # survives only as a gc root, and the fold tables are dropped at every op
+    _check_walk_against_fresh_folds(case, workers, w, gc_limit=0)
+
+
+@given(cut_circuits(), st.integers(1, 3), st.integers(0, 2), st.integers(1, 120))
+@example((REPEATS, 2), 1, 0, Package().gc_limit)
+@example((REPEATS, 2), 2, 1, Package().gc_limit)
+@example((ZERO_SUBTREES, 2), 1, 0, Package().gc_limit)
+# limits at which a collection reuses a node id the tables would otherwise
+# still hold, both as a key stored across a collection and as a table that
+# outlived one
+@example((REPEATS, 2), 1, 0, 24)
+@example((generate_random_circuit(6, 5, seed=2, cz_density=0.6), 3), 1, 0, 30)
+@settings(max_examples=60, deadline=None)
+def test_walk_with_fold_tables_matches_fresh_folds(case, workers, w, gc_limit):
+    # at the default gc limit these circuits never collect, so the fold
+    # tables answer every repeated post-decision state; a small limit
+    # collects now and then, also in the middle of a fold, and the tables
+    # must never answer from a node id that a collection freed
+    _check_walk_against_fresh_folds(case, workers, w, gc_limit=gc_limit)
 
 
 def test_walk_record_belongs_to_its_packages(fig4):
