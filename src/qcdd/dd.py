@@ -20,13 +20,20 @@ largest magnitude, leftmost among magnitudes within ``tol`` of each other
 so equal sub-vectors share one node and equal diagrams compare equal as
 edge tuples.
 
-Inside ``add``, ``multiply`` and ``import_edge`` intermediate weights stay
-raw: the recursions pass and return edges whose weights are plain products
-and sums, never rounded through the weight table.  Only three kinds of value
-are looked up: a node's successor ratio (in :meth:`Package._normalize`), the
-ratio of two operands that keys the add memo, and the weight of the edge
-handed back to the caller.  A raw value within ``tol`` of 0 in both
-components counts as zero, as it would after a lookup.
+Inside ``add``, ``multiply`` and ``import_edge``, and along the chain of a
+Kronecker-product operator in ``matrix_dd``, intermediate weights stay raw:
+the recursions pass and return edges whose weights are plain products and
+sums, never rounded through the weight table.  Only three kinds of value are
+looked up: a node's successor ratio (in :meth:`Package._normalize` and
+:meth:`Package.make_matrix_node`), the ratio of two operands that keys the
+add memo, and the weight of the edge handed back to the caller.  A raw value
+within ``tol`` of 0 in both components counts as zero, as it would after a
+lookup.
+
+``matrix_dd`` builds an operator from one dense ``2**m x 2**m`` matrix, or
+from 2x2 factors on distinct qubits, whose Kronecker product it is.  The
+factor form has one node per level, however many qubits it acts on, so a
+layer of one-qubit gates is one operator and one ``multiply``.
 
 A :class:`Package` owns the unique table, the memoization caches, and the
 weight table, and is strictly single-writer.  Operator diagrams are
@@ -166,19 +173,26 @@ class Package:
         return self._intern(self._normalize(level, *e0, *e1))
 
     def make_matrix_node(self, level: int, succ: Iterable[Edge]) -> Edge:
-        """Matrix-node analog of :meth:`make_vector_node` (four successors;
-        the leftmost within ``tol`` of the largest magnitude is divided out)."""
+        """Matrix-node analog of :meth:`_normalize` (four successors; the
+        leftmost within ``tol`` of the largest magnitude is divided out, and
+        a weight within ``tol`` of 0 counts as zero).  The successor weights
+        may be raw, and the returned edge's weight is the divisor as given;
+        only the ratios are looked up."""
         succ = list(succ)
         wt = self.weights
-        mags = [abs(w) if w != ZERO else -1.0 for w, _ in succ]
+        tol = wt.tol
+        mags = [
+            -1.0 if -tol <= w.real <= tol and -tol <= w.imag <= tol else abs(w)
+            for w, _ in succ
+        ]
         best = max(mags)
         if best < 0:
             return ZERO_EDGE
-        pick = next(i for i, mag in enumerate(mags) if best - mag <= wt.tol)
+        pick = next(i for i, mag in enumerate(mags) if best - mag <= tol)
         norm = succ[pick][0]
         parts = []
         for i, (w, t) in enumerate(succ):
-            if w == ZERO:
+            if mags[i] < 0:
                 parts.extend((ZERO, 0))
             elif i == pick:
                 parts.extend((ONE, t))
@@ -451,8 +465,25 @@ class Package:
                 raise ValueError("matrix/vector level mismatch")
             v0 = (v0w, v0t)
             v1 = (v1w, v1t)
-            w0, t0 = self._add(self._mv((m0w, m0t), v0), self._mv((m1w, m1t), v1))
-            w1, t1 = self._add(self._mv((m2w, m2t), v0), self._mv((m3w, m3t), v1))
+            # a block product with a zero factor is the zero edge and is not
+            # computed; a row with one non-zero product is that product,
+            # which _add would return as it is
+            if v0w == ZERO:
+                m0w = m2w = ZERO
+            if v1w == ZERO:
+                m1w = m3w = ZERO
+            if m0w == ZERO:
+                w0, t0 = self._mv((m1w, m1t), v1) if m1w != ZERO else ZERO_EDGE
+            elif m1w == ZERO:
+                w0, t0 = self._mv((m0w, m0t), v0)
+            else:
+                w0, t0 = self._add(self._mv((m0w, m0t), v0), self._mv((m1w, m1t), v1))
+            if m2w == ZERO:
+                w1, t1 = self._mv((m3w, m3t), v1) if m3w != ZERO else ZERO_EDGE
+            elif m3w == ZERO:
+                w1, t1 = self._mv((m2w, m2t), v0)
+            else:
+                w1, t1 = self._add(self._mv((m2w, m2t), v0), self._mv((m3w, m3t), v1))
             res = self._normalize(lm, w0, t0, w1, t1)
             self._memo_mul[key] = res
         return (w * res[0], res[1])
@@ -492,9 +523,19 @@ class Package:
     # ------------------------------------------------------------------
     # gate operators
 
-    def matrix_dd(self, n: int, qubits: tuple[int, ...], base: np.ndarray) -> Edge:
-        """Matrix diagram of ``base`` acting on the listed qubits (first listed
-        = most significant matrix bit), identity on all other qubits.
+    def matrix_dd(self, n: int, qubits: tuple[int, ...], base) -> Edge:
+        """Matrix diagram of an operator on the listed qubits, identity on
+        all other qubits.
+
+        ``base`` is either one ``2**m x 2**m`` matrix on the ``m`` listed
+        qubits (first listed = most significant matrix bit), or ``m`` 2x2
+        factors, one per listed qubit (distinct), whose Kronecker product is
+        the operator; a 2x2 matrix is both.  The factor form is built from
+        the bottom level up, one node per level: a factor's level scales the
+        edge below by each of its entries, and the other levels repeat that
+        edge on the diagonal.  The entries are looked up, the weights along
+        the chain stay raw (:meth:`make_matrix_node` looks up only the
+        ratios), and the root's weight is looked up last.
 
         Memoized by content, under ``(n, qubits, matrix bytes)``, until the
         next :meth:`gc`, so a reused package never returns a stale diagram;
@@ -503,13 +544,32 @@ class Package:
         """
         m = len(qubits)
         base = np.asarray(base, dtype=complex)
-        if base.shape != (1 << m, 1 << m):
+        if m == 1 and base.shape == (2, 2):
+            base = base.reshape(1, 2, 2)
+        factors = base.shape == (m, 2, 2)
+        if not factors and base.shape != (1 << m, 1 << m):
             raise ValueError(f"operator shape {base.shape} does not match {m} qubit(s)")
         if any(q < 0 or q >= n for q in qubits):
             raise ValueError(f"operand {qubits} out of range for n={n}")
+        if factors and len(set(qubits)) != m:
+            raise ValueError(f"factors on repeated qubits {qubits}")
+        # the two forms' byte counts differ for every m but 1, where they agree
         key = (n, tuple(qubits), base.tobytes())
         e = self._memo_op.get(key)
         if e is not None:
+            return e
+        lookup = self.weights.lookup
+        if factors:
+            by_level = dict(zip(qubits, base))
+            e = ONE_EDGE
+            for level in range(n):
+                f = by_level.get(level)
+                if f is None:
+                    e = self.make_matrix_node(level, (e, ZERO_EDGE, ZERO_EDGE, e))
+                else:
+                    w, t = e
+                    e = self.make_matrix_node(level, [(lookup(complex(x)) * w, t) for x in f.flat])
+            e = self._memo_op[key] = self._intern(e)
             return e
         order = sorted(range(m), key=lambda i: -qubits[i])
         if order != list(range(m)):
@@ -517,7 +577,6 @@ class Package:
             axes = order + [m + i for i in order]
             base = np.ascontiguousarray(t.transpose(axes)).reshape(1 << m, 1 << m)
         qs = [qubits[i] for i in order]  # descending
-        lookup = self.weights.lookup
 
         def build(level: int, k: int, mat: np.ndarray) -> Edge:
             if level < 0:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qcdd import Circuit, Gate
+from qcdd.circuit import GATE_KINDS
 
 # Final state of the 4-qubit reference circuit (H on all, cz(3,1), cz(2,0)).
 FIG_STATE = 0.25 * np.array(
@@ -42,3 +44,18 @@ def fig4_qasm() -> str:
         "cz q[3],q[1];\n"
         "cz q[2],q[0];\n"
     )
+
+
+@st.composite
+def gate_lists(draw):
+    """Up to 16 gates on 2-6 qubits over the full gate set, with operands at
+    random positions (two-qubit operands need not be adjacent)."""
+    n = draw(st.integers(2, 6))
+    gates = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        n_params, n_controls, n_targets = GATE_KINDS[kind]
+        qubits = draw(st.permutations(range(n)))[: n_controls + n_targets]
+        params = tuple(draw(st.floats(-6.3, 6.3)) for _ in range(n_params))
+        gates.append(Gate(kind, params, tuple(qubits[:n_controls]), tuple(qubits[n_controls:])))
+    return Circuit(n, tuple(gates))

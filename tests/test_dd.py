@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcdd.circuit import (
-    GATE_KINDS, CapacityError, Circuit, Gate, apply_matrix, dense_simulate,
+    CapacityError, Circuit, Gate, apply_matrix, dense_simulate,
     generate_random_circuit,
 )
 from qcdd.dd import ONE_EDGE, ZERO_EDGE, Package
 from qcdd.schrodinger import simulate
 from qcdd.weights import ONE, ZERO
-from conftest import FIG_STATE
+from conftest import FIG_STATE, gate_lists
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -341,21 +341,6 @@ def test_identity_record_holds_one_id_per_level():
     assert_identity_record(pkg)
 
 
-@st.composite
-def gate_lists(draw):
-    """Up to 16 gates on 2-6 qubits over the full gate set, with operands at
-    random positions (two-qubit operands need not be adjacent)."""
-    n = draw(st.integers(2, 6))
-    gates = []
-    for _ in range(draw(st.integers(1, 16))):
-        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
-        n_params, n_controls, n_targets = GATE_KINDS[kind]
-        qubits = draw(st.permutations(range(n)))[: n_controls + n_targets]
-        params = tuple(draw(st.floats(-6.3, 6.3)) for _ in range(n_params))
-        gates.append(Gate(kind, params, tuple(qubits[:n_controls]), tuple(qubits[n_controls:])))
-    return Circuit(n, tuple(gates))
-
-
 @given(gate_lists(), st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
 def test_identity_skip_survives_id_reuse(c, gc_limit):
@@ -369,6 +354,89 @@ def test_identity_skip_survives_id_reuse(c, gc_limit):
         pkg.maybe_gc([state])
         assert_identity_record(pkg)
     assert np.abs(pkg.extract_statevector(state, c.n) - dense_simulate(c)).max() < 1e-10
+
+
+def matrix_columns(pkg, m_edge, n, columns):
+    """The listed columns of a matrix diagram, each the product with a
+    basis state."""
+    for j in columns:
+        basis = pkg.make_basis_state(n, format(j, f"0{n}b"))
+        yield j, pkg.extract_statevector(pkg.multiply(m_edge, basis), n)
+
+
+def kron_operator(n, qubits, factors):
+    """Dense operator of the factors on their qubits, identity elsewhere."""
+    by_qubit = dict(zip(qubits, factors))
+    op = np.ones((1, 1), dtype=complex)
+    for q in reversed(range(n)):
+        op = np.kron(op, by_qubit.get(q, np.eye(2)))
+    return op
+
+
+def two_by_two(rng):
+    """A 2x2 factor: a gate, a projector-like decision factor, or a random
+    non-unitary matrix, some entries exactly zero."""
+    pick = rng.integers(4)
+    if pick == 0:
+        kind = rng.choice(["h", "x", "y", "z", "s", "t", "sx", "sy"])
+        return Gate(str(kind), targets=(0,)).operator()
+    if pick == 1:
+        return Gate("rx", (float(rng.uniform(-7, 7)),), targets=(0,)).operator()
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    if pick == 2:
+        m = m * (rng.random((2, 2)) < 0.5)
+    return m
+
+
+@given(st.integers(0, 10_000), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_factor_form_matches_numpy_kron(seed, n):
+    rng = np.random.default_rng(seed)
+    qubits = tuple(int(q) for q in rng.permutation(n)[: rng.integers(1, n + 1)])
+    factors = [two_by_two(rng) for _ in qubits]
+    pkg = Package()
+    e = pkg.matrix_dd(n, qubits, factors)
+    want = kron_operator(n, qubits, factors)
+    for j, col in matrix_columns(pkg, e, n, range(1 << n)):
+        assert np.abs(col - want[:, j]).max() < 1e-12
+    # below the lowest factor the operator is the recorded identity
+    assert_identity_record(pkg)
+
+
+def test_factor_form_of_one_qubit_is_its_matrix():
+    pkg = Package()
+    h = np.array([[1, 1], [1, -1]], dtype=complex) * SQ2
+    e = pkg.matrix_dd(5, (2,), h)
+    assert pkg.matrix_dd(5, (2,), [h]) == e
+    assert pkg.matrix_dd(5, (2,), np.stack([h])) == e
+
+
+def test_sx_chain_keeps_its_weights_raw():
+    # the chain's partial products ((1+i)/2)**k are raw: a table that already
+    # holds a value within tol of each of them, as a package in use may, must
+    # not pull them off.  Only the root, ((1+i)/2)**12 of magnitude
+    # 0.707**12 = 2**-6, is looked up
+    n = 12
+    sx = Gate("sx", targets=(0,)).operator()
+    pkg = Package()
+    for k in range(2, n):
+        pkg.weights.lookup(((1 + 1j) / 2) ** k + 0.9e-13 * (1 + 1j))
+    e = pkg.matrix_dd(n, tuple(range(n)), [sx] * n)
+    assert abs(e[0] - ((1 + 1j) / 2) ** n) < 1e-17
+    assert abs(abs(e[0]) - 2.0**-6) < 1e-17
+    assert pkg.count_nodes(e) == n
+    want = kron_operator(n, range(n), [sx] * n)
+    for j, col in matrix_columns(pkg, e, n, range(0, 1 << n, 13)):
+        assert np.abs(col - want[:, j]).max() < 1e-15
+
+
+def test_factor_form_rejects_repeated_qubits_and_bad_shapes():
+    pkg = Package()
+    x = Gate("x", targets=(0,)).operator()
+    with pytest.raises(ValueError):
+        pkg.matrix_dd(3, (1, 1), [x, x])
+    with pytest.raises(ValueError):
+        pkg.matrix_dd(3, (0, 1), [x, x, x])
 
 
 def test_kron_with_scalar_one_is_identity():

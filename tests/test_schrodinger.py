@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcdd.circuit import Circuit, Gate, apply_matrix, dense_simulate, generate_random_circuit
 from qcdd.dd import Package
-from qcdd.schrodinger import simulate
+from qcdd.schrodinger import apply_ops, simulate
 from qcdd.weights import ZERO
-from conftest import FIG_STATE
+from conftest import FIG_STATE, gate_lists
 
 
 def dd_columns(pkg, m_edge, n):
@@ -125,3 +127,118 @@ def test_simulate_with_gc_pressure():
     v = pkg.extract_statevector(simulate(c, pkg))
     assert pkg.gc_runs > 0
     assert np.abs(v - dense_simulate(c)).max() < 1e-10
+
+
+def fold_op_by_op(n, ops, gc_limit=200_000):
+    """The fold one multiplication per op: the package, its final state."""
+    pkg = Package(gc_limit=gc_limit)
+    state = pkg.make_basis_state(n, "0" * n)
+    for qubits, matrix, _ in ops:
+        state = pkg.multiply(pkg.matrix_dd(n, qubits, matrix), state)
+        pkg.maybe_gc([state])
+    return pkg, state
+
+
+@st.composite
+def op_lists(draw):
+    """A gate list's ops with non-unitary 2x2 factors mixed in (random ones
+    with a zero row, as a decision factor has, or with some zero entries),
+    as ``(qubits, matrix, unitary)``."""
+    c = draw(gate_lists())
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    ops = []
+    for g in c.gates:
+        if rng.random() < 0.3:
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if rng.random() < 0.5:
+                m[rng.integers(2)] = 0  # one zero row, as in a decision factor
+            else:
+                m = m * (rng.random((2, 2)) < 0.6)
+            ops.append(((int(rng.integers(c.n)),), m, False))
+        ops.append((g.qubits, g.operator(), True))
+    return c.n, ops
+
+
+@given(op_lists(), st.integers(0, 400))
+@settings(max_examples=80, deadline=None)
+def test_fused_fold_matches_op_by_op_fold(case, gc_limit):
+    # runs of one-qubit ops are applied as one Kronecker-product operator;
+    # a small gc_limit cuts them short, down to one op at gc_limit 0
+    n, ops = case
+    pkg = Package(gc_limit=gc_limit)
+    fused = pkg.extract_statevector(apply_ops(pkg, n, ops, check_norm=True), n)
+    ref_pkg, ref = fold_op_by_op(n, ops)
+    vec = np.zeros(1 << n, dtype=complex)
+    vec[0] = 1
+    for qubits, matrix, _ in ops:
+        vec = apply_matrix(vec, matrix, qubits, n)
+    # the random factors scale the state; the bounds hold relative to it
+    scale = max(1.0, np.abs(vec).max())
+    assert np.abs(fused - ref_pkg.extract_statevector(ref, n)).max() < 1e-12 * scale
+    assert np.abs(fused - vec).max() < 1e-10 * scale
+
+
+@given(gate_lists())
+@settings(max_examples=30, deadline=None)
+def test_fused_simulate_matches_dense_oracle(c):
+    pkg = Package()
+    v = pkg.extract_statevector(simulate(c, pkg, check_norm=True), c.n)
+    assert np.abs(v - dense_simulate(c)).max() < 1e-10
+
+
+def count_multiplies(pkg):
+    calls = []
+    multiply = pkg.multiply
+    pkg.multiply = lambda m, v: calls.append(m) or multiply(m, v)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8])
+def test_layer_of_one_qubit_gates_is_one_multiply(m):
+    n = 8
+    kinds = ["h", "sx", "t", "ry", "x", "sy", "z", "rz"]
+    gates = [
+        Gate(k, (0.3,) if k[0] == "r" else (), targets=(q,))
+        for q, k in zip(range(n - m, n), kinds)
+    ]
+    pkg = Package()
+    calls = count_multiplies(pkg)
+    state = apply_ops(pkg, n, [(g.qubits, g.operator(), True) for g in gates], check_norm=True)
+    assert len(calls) == 1
+    want = dense_simulate(Circuit(n, tuple(gates)))
+    assert np.abs(pkg.extract_statevector(state, n) - want).max() < 1e-12
+
+
+def test_repeated_qubit_or_two_qubit_gate_ends_a_run():
+    n = 4
+    gates = [Gate("h", targets=(q,)) for q in range(n)]  # one operator
+    gates += [Gate("t", targets=(0,)), Gate("s", targets=(2,))]  # a second
+    gates += [Gate("sx", targets=(2,))]  # q2 again: a third
+    gates += [Gate("cz", controls=(3,), targets=(1,))]  # a fourth
+    gates += [Gate("h", targets=(1,)), Gate("h", targets=(3,))]  # a fifth
+    pkg = Package()
+    calls = count_multiplies(pkg)
+    state = simulate(Circuit(n, tuple(gates)), pkg, check_norm=True)
+    assert len(calls) == 5
+    want = dense_simulate(Circuit(n, tuple(gates)))
+    assert np.abs(pkg.extract_statevector(state, n) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fused_fold_peak_stays_at_op_by_op_peak_under_small_gc_limit(seed):
+    # gc runs only between operators; with a gc_limit this small against
+    # the state, the run length bound cuts most runs down to one op, so
+    # a fused operator never grows the package past the op-by-op fold
+    c = generate_random_circuit(10, 10, seed, 0.7, "grid")
+    ops = [(g.qubits, g.operator(), True) for g in c.gates]
+    gc_limit = 200
+    pkg = Package(gc_limit=gc_limit)
+    calls = count_multiplies(pkg)
+    fused = apply_ops(pkg, c.n, ops)
+    ref_pkg, ref = fold_op_by_op(c.n, ops, gc_limit)
+    assert pkg.gc_runs > 0
+    assert len(calls) < len(ops)
+    assert pkg.peak_nodes <= ref_pkg.peak_nodes
+    assert np.abs(
+        pkg.extract_statevector(fused) - ref_pkg.extract_statevector(ref)
+    ).max() < 1e-12
