@@ -31,8 +31,11 @@ from one path to the next.
 ``run_hybrid_amp`` keeps each path's two block arrays as rows and forms the
 state as one matrix product per worker's rows (``_AmpSum``); a block node
 is extracted once, and a later row on the same node is that row rescaled;
-``run_hybrid_dd`` splices the two block diagrams into one diagram inside
-the run's package and adds it there (``_DDSum``).
+``run_hybrid_dd`` adds the paths as diagrams in the run's package
+(``_DDSum``): it imports each distinct block node there once, sums the
+lower diagrams of the paths that share an upper node, and splices each
+distinct upper node once, above its sum, which forms the tensor products
+by distributivity.
 
 With ``W`` workers of ``P`` paths, worker ``w`` is a forked OS process that
 walks the contiguous path range ``[w * P // W, (w + 1) * P // W)``, so
@@ -45,6 +48,7 @@ fresh package, and this process combines them.
 from __future__ import annotations
 
 import functools
+import itertools
 import multiprocessing as mp
 import time
 import traceback
@@ -56,6 +60,7 @@ import numpy as np
 from .circuit import CapacityError, Circuit, Gate
 from .dd import ZERO_EDGE, Edge, Package
 from .schrodinger import apply_ops
+from .weights import ONE
 
 
 class TopologyError(Exception):
@@ -413,12 +418,25 @@ class _AmpSum:
 
 
 class _DDSum:
-    """DD mode: each path's lower block diagram is imported into the run's
-    package and the upper block is spliced above it, which forms the tensor
-    product there; the path diagrams are added by a binary counter, so the
-    addition tree has logarithmic depth in the number of paths.  A worker
-    ships its partial sum copied into a fresh package; the parent imports
-    the partials and adds them by the same counter."""
+    """DD mode: the state is ``sum_p w_p U_u(p) (x) L_l(p)`` over the
+    non-zero paths ``p``, where ``U_u`` and ``L_l`` are the block nodes the
+    path ends on and ``w_p`` the product of their weights; it is formed as
+    ``sum_u U_u (x) (sum_{p in u} w_p L_l(p))``, with one group per
+    distinct upper node holding that node and the running sum of its
+    paths' lower diagrams.  Each distinct block node is imported into the
+    run's package once, with weight ONE, and a later path on it rescales
+    the imported edge.  The maps from a block node to its imported lower
+    edge or its group are the summer's node tables in the block packages
+    (:meth:`Package.node_table`), dropped at their next garbage collection.
+
+    ``ship``/``total`` splice each group's upper node above its lower sum,
+    in creation order, and add the products by a binary counter, so the
+    addition tree has logarithmic depth in the number of groups.  The run's
+    package may collect garbage after each path and each splice, with the
+    counter's slots, the groups not yet spliced and the imported edges as
+    roots.  A worker ships its partial sum copied into a fresh package,
+    with its number of splices; the parent imports the partials and adds
+    them by the same counter."""
 
     mode = "hybrid-dd"
 
@@ -428,19 +446,52 @@ class _DDSum:
         self.amp_cap = amp_cap
         self.pkg = Package(tol, extract_cap=amp_cap)
         self.slots: list[Edge | None] = []
+        # [upper edge, lower sum] per group, in creation order
+        self.groups: list[list[Edge]] = []
+        self.splices = 0
 
     def reserve(self, paths: int):
         """Nothing to set aside: each path is added as it comes."""
 
     def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
-        lower = self.pkg.import_edge(lo, le)
-        contrib = self.pkg.import_edge(up, ue, shift=self.cut, splice=lower)
+        pkg = self.pkg
+        lowers = lo.node_table(self)
+        lower = lowers.get(le[1])
+        if lower is None:
+            lower = lowers[le[1]] = pkg.import_edge(lo, (ONE, le[1]))
+        groups = up.node_table(self)
+        group = groups.get(ue[1])
+        if group is None:
+            group = groups[ue[1]] = [pkg.import_edge(up, (ONE, ue[1])), ZERO_EDGE]
+            self.groups.append(group)
         t1 = time.perf_counter()
-        self._push(contrib)
+        group[1] = pkg.add(group[1], (ue[0] * le[0] * lower[0], lower[1]))
         times["kron"] += t1 - t0
         times["add"] += time.perf_counter() - t1
-        self.pkg.maybe_gc([s for s in self.slots if s is not None])
+        pkg.maybe_gc(self._roots(self.groups, lowers.values()))
+
+    def _roots(self, groups, imported=()) -> Iterator[Edge]:
+        """The run package's gc roots: the counter's slots, the edges of
+        ``groups`` and the ``imported`` lower edges."""
+        yield from (s for s in self.slots if s is not None)
+        for group in groups:
+            yield from group
+        yield from imported
+
+    def _splice(self, times: dict):
+        """Splice every group and add the products by the counter."""
+        pkg, groups = self.pkg, self.groups
+        for i, (upper, lower) in enumerate(groups):
+            t0 = time.perf_counter()
+            contrib = pkg.import_edge(pkg, upper, shift=self.cut, splice=lower)
+            t1 = time.perf_counter()
+            self._push(contrib)
+            times["kron"] += t1 - t0
+            times["add"] += time.perf_counter() - t1
+            pkg.maybe_gc(self._roots(itertools.islice(groups, i + 1, None)))
+        self.splices += len(groups)
+        self.groups = []
 
     def _push(self, contrib: Edge):
         slots = self.slots
@@ -461,13 +512,17 @@ class _DDSum:
 
     def ship(self):
         """A worker's partial: its sum copied into a fresh package, which
-        holds only that diagram's nodes, plus the edge there."""
+        holds only that diagram's nodes, the edge there, and the number of
+        groups it spliced."""
+        self._splice(dict.fromkeys(_STAGES, 0.0))
         out = Package(self.tol, extract_cap=self.amp_cap)
-        return out, out.import_edge(self.pkg, self._sum())
+        return out, out.import_edge(self.pkg, self._sum()), self.splices
 
     def total(self, shipped: list, times: dict) -> Edge:
+        self._splice(times)
         t0 = time.perf_counter()
-        for pkg, edge in shipped:
+        for pkg, edge, splices in shipped:
+            self.splices += splices
             self._push(self.pkg.import_edge(pkg, edge))
         state = self._sum()
         times["add"] += time.perf_counter() - t0
@@ -661,4 +716,5 @@ def run_hybrid_dd(
     summer = _DDSum(partition.cut, tol, amp_cap)
     edge, stats = _run_paths(circuit, partition, cls, workers, check_norm, summer)
     stats["final_nodes"] = summer.pkg.count_nodes(edge)
+    stats["splices"] = summer.splices
     return _result(stats, state=edge, package=summer.pkg)

@@ -935,13 +935,128 @@ def test_dd_ship_sends_only_live_nodes():
     p = Partition(4)
     cls = classify(c, p)
     summer = hybrid_mod._DDSum(p.cut, 1e-13, 30)
-    summer.pkg.gc_limit = 0  # sweep after every path, leaving freed slots behind
+    summer.pkg.gc_limit = 0  # sweep after every path and splice, leaving freed slots behind
     hybrid_mod._sum_paths(c, p, cls, 0, 1, False, summer)
+    pkg, edge, splices = summer.ship()
     assert None in summer.pkg._nodes[1:]
-    pkg, edge = summer.ship()
+    assert splices > 0
     assert None not in pkg._nodes[1:]
     assert len(pkg._nodes) - 1 == pkg.count_nodes(edge)
     assert np.abs(pkg.extract_statevector(edge, 8) - dense_simulate(c)).max() < 1e-9
+
+
+def _distinct_block_nodes(c, p, cls, paths):
+    """The upper and the lower nodes that the non-zero ones of ``paths`` end
+    on, walked in order with one pair of packages as a worker does."""
+    import qcdd.hybrid as hybrid_mod
+
+    walk = hybrid_mod._Walk(Package(), Package())
+    uppers, lowers = set(), set()
+    for i in paths:
+        ue, le = simulate_path(c, p, path_digits(cls.decisions, i), *walk.packages, cls, walk=walk)
+        if ZERO_EDGE not in (ue, le):
+            uppers.add(ue[1])
+            lowers.add(le[1])
+    return uppers, lowers
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["workers-1", "workers-2"])
+def test_dd_imports_each_block_node_once(monkeypatch, workers):
+    # REPEATS' 8 non-zero paths end on 2 upper and 2 lower nodes
+    c, p = REPEATS, Partition(2)
+    cls = classify(c, p)
+    ranges = [
+        range(w * cls.path_count // workers, (w + 1) * cls.path_count // workers)
+        for w in range(workers)
+    ]
+    distinct = [_distinct_block_nodes(c, p, cls, r) for r in ranges]
+    assert all(len(u) < len(r) and len(lo) < len(r) for (u, lo), r in zip(distinct, ranges))
+    imports, splices = [], 0
+    import_edge = Package.import_edge
+
+    def counted(pkg, src, e, shift=0, splice=None):
+        nonlocal splices
+        if splice is None:
+            imports.append((src, e[1]))
+        else:
+            assert src is pkg  # the run's package splices into itself
+            splices += 1
+        return import_edge(pkg, src, e, shift, splice)
+
+    monkeypatch.setattr(Package, "import_edge", counted)
+    res = run_hybrid_dd(c, p, workers=workers)
+    if workers == 1:
+        # one import per distinct node of each block package; the forked
+        # workers' calls would be counted in their own processes
+        (uppers, lowers), = distinct
+        per_package = {}
+        for src, node in imports:
+            per_package.setdefault(id(src), set()).add(node)
+        assert len(imports) == len(uppers) + len(lowers)
+        assert sorted(map(len, per_package.values())) == sorted([len(uppers), len(lowers)])
+        assert splices == len(uppers)
+    assert res.stats["splices"] == sum(len(u) for u, _ in distinct)
+    assert np.abs(res.package.extract_statevector(res.state, c.n) - dense_simulate(c)).max() < 1e-12
+
+
+@pytest.mark.parametrize("block_gc_limit", [0, 30, Package().gc_limit])
+def test_dd_groups_survive_gc(monkeypatch, block_gc_limit):
+    # block packages that collect garbage within and between paths reuse
+    # node ids, so an upper node id may come back on another node after
+    # its group was opened; the run's package collects after every path
+    # and every splice, with the groups and the imported edges as roots,
+    # which must keep an imported edge valid while its block package,
+    # collecting nothing at the default limit, still maps a node to it
+    import qcdd.hybrid as hybrid_mod
+
+    cases = [(REPEATS, 2), (ZERO_SUBTREES, 2)] + [
+        (generate_random_circuit(6, 5, seed=seed, cz_density=0.6), 3) for seed in (1, 2, 5)
+    ]
+    for c, cut in cases:
+        p = Partition(cut)
+        cls = classify(c, p)
+        plain = run_hybrid_dd(c, p)
+        summer = hybrid_mod._DDSum(cut, 1e-13, 30)
+        summer.pkg.gc_limit = 0
+        blocks = []
+
+        def block_package(*args, **kwargs):
+            blocks.append(Package(*args, **kwargs, gc_limit=block_gc_limit))
+            return blocks[-1]
+
+        monkeypatch.setattr(hybrid_mod, "Package", block_package)
+        hybrid_mod._sum_paths(c, p, cls, 0, 1, False, summer)
+        monkeypatch.undo()
+        state = summer.total([], dict.fromkeys(hybrid_mod._STAGES, 0.0))
+        assert summer.pkg.gc_runs
+        assert all(b.gc_runs for b in blocks) == (block_gc_limit < Package().gc_limit)
+        got = summer.pkg.extract_statevector(state, c.n)
+        assert np.abs(got - dense_simulate(c)).max() < 1e-12
+        fresh = Package()
+        assert fresh.import_edge(summer.pkg, state) == fresh.import_edge(plain.package, plain.state)
+
+
+@given(cut_circuits(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_import_into_own_package_is_kron(case, data):
+    # the splice of _DDSum: both block states imported into one package,
+    # then the upper one imported from that package into itself above the
+    # lower one; also a diagram spliced above itself, so that the source
+    # and the splice share nodes
+    c, cut = case
+    p = Partition(cut)
+    cls = classify(c, p)
+    i = data.draw(st.integers(0, cls.path_count - 1))
+    up, lo = Package(), Package()
+    ue, le = simulate_path(c, p, path_digits(cls.decisions, i), up, lo, cls)
+    pkg = Package()
+    upper, lower = pkg.import_edge(up, ue), pkg.import_edge(lo, le)
+    u = pkg.extract_statevector(upper, c.n - cut)
+    v = pkg.extract_statevector(lower, cut)
+    k = pkg.import_edge(pkg, upper, shift=cut, splice=lower)
+    assert np.abs(pkg.extract_statevector(k, c.n) - np.kron(u, v)).max() < 1e-12
+    k = pkg.import_edge(pkg, lower, shift=cut, splice=lower)
+    assert np.abs(pkg.extract_statevector(k, 2 * cut) - np.kron(v, v)).max() < 1e-12
 
 
 def test_five_workers_match_oracle():
@@ -982,6 +1097,13 @@ def test_stats_record_is_json_ready(fig4):
         for stage in ("simulate", "kron", "extract", "add", "total"):
             assert stage in rec["times"]
         assert rec["decisions"] == 2 and rec["path_count"] == 4
+        dd_only = {"final_nodes", "splices"}
+        if rec["mode"] == "hybrid-dd":
+            assert dd_only <= rec.keys()
+            # each worker's two paths end on distinct upper nodes
+            assert rec["splices"] == 4
+        else:
+            assert not dd_only & rec.keys()
 
 
 def test_path_count_law_cz_only():
