@@ -357,6 +357,8 @@ class Package:
     def norm(self, e: Edge) -> float:
         """L2 norm of the represented vector, one O(nodes) pass."""
         w, t = e
+        if t:
+            self._vector_root(t)
         if w == ZERO:
             return 0.0
         nodes = self._nodes
@@ -502,7 +504,7 @@ class Package:
         if e[1]:
             src._vector_root(e[1])
         sw, st = ONE_EDGE if splice is None else splice
-        width = self._nodes[st][0] + 1 if st else 0
+        width = self._vector_root(st)[0] + 1 if st else 0
         if shift < 0 or (sw != ZERO and width != shift):
             raise ValueError(f"shift {shift} does not match a splice of {width} qubit(s)")
         memo: dict[int, Edge] = {}

@@ -28,9 +28,10 @@ of each path whose blocks are both non-zero to a "summer".  Each worker
 keeps one package per block and one walk record for all of its paths, so
 the prefix states, the operator diagrams and the compute tables stay warm
 from one path to the next.
-``run_hybrid_amp`` keeps each path's two block arrays as rows and forms the
-state as one matrix product per worker's rows (``_AmpSum``); a block node
-is extracted once, and a later row on the same node is that row rescaled;
+``run_hybrid_amp`` writes each path's two block arrays as rows of one
+shared mapping and forms the state as one matrix product of all the rows
+(``_AmpSum``); a block node is extracted once, and a later row on the same
+node is that row rescaled;
 ``run_hybrid_dd`` adds the paths as diagrams in the run's package
 (``_DDSum``): it imports each distinct block node there once, sums the
 lower diagrams of the paths that share an upper node, and splices each
@@ -41,14 +42,16 @@ With ``W`` workers of ``P`` paths, worker ``w`` is a forked OS process that
 walks the contiguous path range ``[w * P // W, (w + 1) * P // W)``, so
 only a subtree cut by a range boundary has prefixes that two workers both
 fold.  It replies through its own pipe; workers share no lock.  An
-amplitude worker sends its rows, a DD worker its partial sum copied into a
-fresh package, and this process combines them.
+amplitude worker has written its rows in place in the mapping, which this
+process made before the fork, and sends none; a DD worker sends its partial
+sum copied into a fresh package, and this process combines them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import mmap
 import multiprocessing as mp
 import time
 import traceback
@@ -346,9 +349,11 @@ class _AmpSum:
     """Amplitude mode: each path's two block arrays are extracted and kept as
     one row each.  With cut ``k`` the state, reshaped to ``(2**(n-k), 2**k)``
     with the upper block in the high bits, is ``U.T @ L``, where row ``p`` of
-    ``U`` and ``L`` holds path ``p``'s upper and lower block array.  Each
-    worker fills one preallocated ``U_w`` and ``L_w`` for its share of paths
-    and ships the filled rows; the state is the sum of the ``U_w.T @ L_w``.
+    ``U`` and ``L`` holds path ``p``'s upper and lower block array.  Both
+    live in one anonymous shared mapping, made here before any worker is
+    forked, so a forked worker writes its paths' rows in place and ships
+    none.  The mapping starts zeroed, and a zero path's rows are never
+    written.
 
     Many paths end on the same block node.  Per block, the summer's node
     table in the block's package (:meth:`Package.node_table`) maps a node
@@ -359,62 +364,48 @@ class _AmpSum:
 
     mode = "hybrid-amp"
 
-    def __init__(self, n: int, cut: int, tol: float, amp_cap: int):
-        self.n = n
-        self.cut = cut
+    def __init__(self, n: int, cut: int, paths: int, tol: float, amp_cap: int):
+        """Rows for ``paths`` paths; ``CapacityError`` when they would exceed
+        ``2**amp_cap`` amplitudes."""
+        widths = 1 << (n - cut), 1 << cut
+        amps = paths * sum(widths)
+        if amps > 1 << amp_cap:
+            raise CapacityError(
+                f"amplitude mode needs block rows of {amps} amplitudes for {paths}"
+                f" paths; cap is 2**{amp_cap}"
+            )
         self.tol = tol
         self.amp_cap = amp_cap
-        self.upper: np.ndarray | None = None
-        self.lower: np.ndarray | None = None
-        self.rows = 0
+        rows = np.frombuffer(mmap.mmap(-1, amps * 16), dtype=complex)
+        self.upper = rows[: paths * widths[0]].reshape(paths, widths[0])
+        self.lower = rows[paths * widths[0] :].reshape(paths, widths[1])
 
-    def reserve(self, paths: int):
-        """Room for the rows of up to ``paths`` paths."""
-        self.upper = np.empty((paths, 1 << (self.n - self.cut)), dtype=complex)
-        self.lower = np.empty((paths, 1 << self.cut), dtype=complex)
-        self.rows = 0
-
-    def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
+    def add_path(self, i: int, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
-        self._fill(self.upper, up, ue, self.n - self.cut)
-        self._fill(self.lower, lo, le, self.cut)
-        self.rows += 1
+        self._fill(self.upper[i], up, ue)
+        self._fill(self.lower[i], lo, le)
         times["extract"] += time.perf_counter() - t0
 
-    def _fill(self, rows: np.ndarray, pkg: Package, e: Edge, width: int):
-        """Row ``self.rows`` of one block's ``rows``: the array of ``e``."""
+    def _fill(self, row: np.ndarray, pkg: Package, e: Edge):
+        """Write the array of ``e`` into ``row``."""
         filled = pkg.node_table(self)
         hit = filled.get(e[1])
         if hit is None:
-            rows[self.rows] = pkg.extract_statevector(e, width)
-            filled[e[1]] = rows[self.rows], e[0]
+            row[:] = pkg.extract_statevector(e)
+            filled[e[1]] = row, e[0]
         else:
-            row, w = hit
-            np.multiply(row, e[0] / w, out=rows[self.rows])
+            first, w = hit
+            np.multiply(first, e[0] / w, out=row)
 
     def ship(self):
-        return self.upper[: self.rows], self.lower[: self.rows]
+        """Nothing: the rows are already in the shared mapping."""
 
-    def total(self, shipped: list, times: dict) -> np.ndarray:
-        """The state from this process's rows and the workers' shipped ones,
-        which this consumes from the list.  The first pair's product forms
-        the state; every later pair's is added in slabs of output rows, each
-        no larger than that pair's rows.  Each pair is released once used,
-        so beyond the rows and the output this needs at most one worker's
-        share."""
+    def total(self, shipped, times: dict) -> np.ndarray:
+        """The state, ``U.T @ L`` of all the rows, as a fresh array."""
         t0 = time.perf_counter()
-        if self.upper is not None:
-            shipped.append(self.ship())
-            self.upper = self.lower = None
-        upper, lower = shipped.pop(0)
-        state = upper.T @ lower
-        while shipped:
-            upper, lower = shipped.pop(0)
-            step = max(1, (upper.size + lower.size) >> self.cut)
-            for c in range(0, len(state), step):
-                state[c : c + step] += upper[:, c : c + step].T @ lower
+        state = (self.upper.T @ self.lower).ravel()
         times["kron"] += time.perf_counter() - t0
-        return state.ravel()
+        return state
 
 
 class _DDSum:
@@ -450,10 +441,7 @@ class _DDSum:
         self.groups: list[list[Edge]] = []
         self.splices = 0
 
-    def reserve(self, paths: int):
-        """Nothing to set aside: each path is added as it comes."""
-
-    def add_path(self, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
+    def add_path(self, i: int, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
         pkg = self.pkg
         lowers = lo.node_table(self)
@@ -518,7 +506,7 @@ class _DDSum:
         out = Package(self.tol, extract_cap=self.amp_cap)
         return out, out.import_edge(self.pkg, self._sum()), self.splices
 
-    def total(self, shipped: list, times: dict) -> Edge:
+    def total(self, shipped, times: dict) -> Edge:
         self._splice(times)
         t0 = time.perf_counter()
         for pkg, edge, splices in shipped:
@@ -540,7 +528,6 @@ def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
     walk record's ``fold_hits``."""
     times = dict.fromkeys(_STAGES, 0.0)
     paths = range(w * cls.path_count // workers, (w + 1) * cls.path_count // workers)
-    summer.reserve(len(paths))
     up = Package(summer.tol, extract_cap=summer.amp_cap)
     lo = Package(summer.tol, extract_cap=summer.amp_cap)
     walk = _Walk(up, lo)
@@ -553,7 +540,7 @@ def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
         if ZERO_EDGE in (ue, le):
             zero_paths += 1
         else:
-            summer.add_path(up, ue, lo, le, times)
+            summer.add_path(i, up, ue, lo, le, times)
     return times, up.peak_nodes + lo.peak_nodes, zero_paths, walk.fold_hits
 
 
@@ -620,11 +607,10 @@ def _run_paths(circuit, partition, cls, workers, check_norm, summer):
     with a zero block state and its ``fold_hits`` the segment folds answered
     from the walk records' fold tables, both over all workers.
 
-    A summer is told how many paths it may get by ``reserve`` and takes each
-    path by ``add_path``; a forked worker replies with ``ship()``, and
-    ``total`` gives the run's sum from this process's paths and the list of
-    those replies, which it may consume.  ``workers`` below 1 raises
-    ``ValueError``; ``None`` means 1.
+    A summer takes each non-zero path, with its index, by ``add_path``; a
+    forked worker replies with ``ship()``, and ``total`` gives the run's sum
+    from this process's paths and the list of those replies.  ``workers``
+    below 1 raises ``ValueError``; ``None`` means 1.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
@@ -638,8 +624,7 @@ def _run_paths(circuit, partition, cls, workers, check_norm, summer):
         shipped = []
     else:
         replies = _fork_workers(circuit, partition, cls, workers, check_norm, summer)
-        shipped, worker_times, nodes, zeros, hits = map(list, zip(*replies))
-        del replies  # so that total() can release each partial once used
+        shipped, worker_times, nodes, zeros, hits = zip(*replies)
         max_nodes = max(nodes)
         zero_paths = sum(zeros)
         fold_hits = sum(hits)
@@ -671,13 +656,11 @@ def run_hybrid_amp(
     """Path-sum run recombining through dense block arrays.
 
     Cross-path diagrams are never added as diagrams.  Memory budget, in
-    complex amplitudes: the rows, ``2**(n-k) + 2**k`` per path, each held
-    once (a worker reserves rows for all of its paths and writes those of
-    the non-zero ones), plus the ``2**n`` output, plus at most one worker's
-    share of rows while the workers' products are added.  Before any
-    worker is forked, ``CapacityError`` is raised when ``n`` exceeds
-    ``amp_cap`` or when the rows of all paths would exceed ``2**amp_cap``
-    amplitudes.
+    complex amplitudes: the rows, ``2**(n-k) + 2**k`` per path, zero paths
+    included, allocated once in one mapping shared with the workers before
+    any is forked, plus the ``2**n`` output.  ``CapacityError`` is raised
+    up front when ``n`` exceeds ``amp_cap`` or when the rows would exceed
+    ``2**amp_cap`` amplitudes.
     """
     n = circuit.n
     if n > amp_cap:
@@ -686,14 +669,7 @@ def run_hybrid_amp(
         )
     partition = partition or default_partition(n)
     cls = classify(circuit, partition)
-    k = partition.cut
-    rows = cls.path_count * ((1 << (n - k)) + (1 << k))
-    if rows > 1 << amp_cap:
-        raise CapacityError(
-            f"amplitude mode needs block rows of {rows} amplitudes for {cls.path_count}"
-            f" paths; cap is 2**{amp_cap}"
-        )
-    summer = _AmpSum(n, k, tol, amp_cap)
+    summer = _AmpSum(n, partition.cut, cls.path_count, tol, amp_cap)
     vector, stats = _run_paths(circuit, partition, cls, workers, check_norm, summer)
     return _result(stats, vector=vector)
 

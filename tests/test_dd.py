@@ -779,6 +779,12 @@ def test_add_and_import_reject_matrix_diagrams():
             pkg.add(a, b)
     with pytest.raises(ValueError, match="expected a vector diagram"):
         Package().import_edge(pkg, op)
+    # a vector spliced above a matrix, and the norm of a matrix
+    op2 = pkg.matrix_dd(2, (0,), np.array([[0, 1], [1, 0]], dtype=complex))
+    with pytest.raises(ValueError, match="expected a vector diagram"):
+        pkg.import_edge(pkg, v, shift=2, splice=op2)
+    with pytest.raises(ValueError, match="expected a vector diagram"):
+        pkg.norm(op)
 
 
 # ---------------------------------------------------------------------------

@@ -875,57 +875,94 @@ def test_one_worker_dies_the_other_finishes(monkeypatch, engine, dying_worker):
     assert mp.active_children() == []
 
 
-def test_amp_workers_ship_one_row_per_nonzero_path():
+def test_amp_workers_write_rows_in_place():
+    # two forked workers write their paths' rows into the summer's shared
+    # mapping and reply with none; a zero path's rows stay zero
     import qcdd.hybrid as hybrid_mod
 
     c = generate_random_circuit(8, 4, seed=2, cz_density=0.6)
     p = default_partition(8)
     cls = classify(c, p)
-    up, lo = Package(), Package()
+    summer = hybrid_mod._AmpSum(8, p.cut, cls.path_count, 1e-13, 30)
+    replies = hybrid_mod._fork_workers(c, p, cls, 2, False, summer)
+    assert [partial for partial, *_ in replies] == [None, None]
     nonzero = 0
     for i in range(cls.path_count):
+        up, lo = Package(), Package()
         ue, le = simulate_path(c, p, path_digits(cls.decisions, i), up, lo, cls)
-        nonzero += ue[0] != 0 and le[0] != 0
+        if ZERO_EDGE in (ue, le):
+            assert not summer.upper[i].any() and not summer.lower[i].any()
+        else:
+            nonzero += 1
+            assert np.abs(summer.upper[i] - up.extract_statevector(ue, 8 - p.cut)).max() < 1e-12
+            assert np.abs(summer.lower[i] - lo.extract_statevector(le, p.cut)).max() < 1e-12
     assert 0 < nonzero < cls.path_count
-    summer = hybrid_mod._AmpSum(8, p.cut, 1e-13, 30)
-    replies = hybrid_mod._fork_workers(c, p, cls, 2, False, summer)
-    shipped = [partial for partial, *_ in replies]
-    assert sum(len(upper) for upper, _ in shipped) == nonzero
-    assert sum(len(lower) for _, lower in shipped) == nonzero
     times = dict.fromkeys(hybrid_mod._STAGES, 0.0)
-    assert np.abs(summer.total(shipped, times) - dense_simulate(c)).max() < 1e-9
+    assert np.abs(summer.total([None, None], times) - dense_simulate(c)).max() < 1e-9
 
 
-def test_amp_total_holds_the_rows_once():
-    # 512 synthetic rows at n = 16 from four workers: forming the state may
-    # hold the rows once, the output, and one worker's share, never a second
-    # copy of all the rows
+def test_amp_total_allocates_only_the_output():
+    # 512 synthetic rows at n = 16 written into a summer's mapping: the
+    # product reads them in place, so forming the state allocates the
+    # output and no copy of the rows
     import tracemalloc
 
     import qcdd.hybrid as hybrid_mod
 
-    n, cut, workers, share = 16, 8, 4, 128
+    n, cut, paths = 16, 8, 512
     rng = np.random.default_rng(7)
-
-    def rows(width):
-        return rng.normal(size=(share, width)) + 1j * rng.normal(size=(share, width))
-
+    summer = hybrid_mod._AmpSum(n, cut, paths, 1e-13, 30)
+    for rows in (summer.upper, summer.lower):
+        rows[:] = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
+    want = (np.array(summer.upper).T @ np.array(summer.lower)).ravel()
     tracemalloc.start()
     try:
-        shipped = [(rows(1 << (n - cut)), rows(1 << cut)) for _ in range(workers)]
-        want = sum(u.T @ lo for u, lo in shipped).ravel()
-        row_bytes = sum(u.nbytes + lo.nbytes for u, lo in shipped)
-        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        summer = hybrid_mod._AmpSum(n, cut, 1e-13, 30)
-        state = summer.total(shipped, dict.fromkeys(hybrid_mod._STAGES, 0.0))
+        state = summer.total([], dict.fromkeys(hybrid_mod._STAGES, 0.0))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert np.abs(state - want).max() < 1e-9
-    # the rows are already held when total() starts, so only the output and
-    # one worker's share may come on top of them
-    assert peak < state.nbytes + row_bytes // workers
+    assert peak < state.nbytes + (64 << 10)
+
+
+def test_amp_row_allocation_failure_surfaces_before_any_path(monkeypatch):
+    import qcdd.hybrid as hybrid_mod
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("injected")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(hybrid_mod.mmap, "mmap", no_memory)
+    monkeypatch.setattr(hybrid_mod, "simulate_path", never)
+    for workers in (1, 2):
+        with pytest.raises(MemoryError, match="injected"):
+            run_hybrid_amp(generate_random_circuit(8, 4, seed=2, cz_density=0.6), workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["workers-1", "workers-2"])
+def test_amp_vector_does_not_view_the_mapping(monkeypatch, workers):
+    import gc
+
+    import qcdd.hybrid as hybrid_mod
+
+    maps = []
+    real = hybrid_mod.mmap.mmap
+
+    def recorded(*args, **kwargs):
+        maps.append(real(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(hybrid_mod.mmap, "mmap", recorded)
+    c = generate_random_circuit(8, 4, seed=2, cz_density=0.6)
+    res = run_hybrid_amp(c, workers=workers)
+    (mapping,) = maps
+    assert not np.shares_memory(res.vector, np.frombuffer(mapping, dtype=complex))
+    gc.collect()
+    mapping.close()  # a BufferError here: some array still views the mapping
+    assert np.abs(res.vector - dense_simulate(c)).max() < 1e-12
 
 
 def test_dd_ship_sends_only_live_nodes():
