@@ -25,6 +25,7 @@ from .dd import Package
 from .hybrid import Partition, TopologyError, run_hybrid_amp, run_hybrid_dd
 from .qasm import QasmError, parse
 from .schrodinger import simulate
+from .weights import check_tolerance
 from . import bench as bench_mod
 
 EXIT_OK = 0
@@ -43,6 +44,14 @@ def worker_count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"need at least one worker, got {n}")
     return n
+
+
+def tolerance(text: str) -> float:
+    """Argument type of a ``--tol`` flag: a float strictly between 0 and 1."""
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -77,7 +86,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                        help="cut position (lower block = qubits 0..cut-1); default n//2")
         p.add_argument("--workers", type=worker_count, default=None,
                        help="worker processes for the hybrid engines, at least 1 (default: all cores)")
-        p.add_argument("--tol", type=float, default=1e-13, help="weight canonicalization tolerance")
+        p.add_argument("--tol", type=tolerance, default=1e-13,
+                       help="weight canonicalization tolerance, between 0 and 1")
         p.add_argument("--amp-cap", type=int, default=30,
                        help="max qubits for dense extraction; in hybrid-amp mode also the"
                             " log2 of the block-row amplitudes of all paths")
@@ -107,7 +117,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     ben_p.add_argument("--density", type=float, default=0.5)
     ben_p.add_argument("--pairing", choices=("any", "grid"), default="grid")
     ben_p.add_argument("--workers", type=worker_count, default=None)
-    ben_p.add_argument("--tol", type=float, default=1e-13)
+    ben_p.add_argument("--tol", type=tolerance, default=1e-13)
     ben_p.add_argument("--timeout", type=float, default=300.0,
                        help="per-engine-run timeout in seconds")
     ben_p.add_argument("--csv", default=None, help="write the report table to this CSV file")
@@ -157,7 +167,7 @@ def _run_engine(args, circuit: Circuit, mode: str):
             "final_nodes": pkg.count_nodes(edge),
         }
         return (lambda bits: pkg.get_amplitude(edge, bits),
-                lambda: pkg.extract_statevector(edge),
+                lambda: pkg.extract_statevector(edge, circuit.n),
                 record)
     partition = Partition(args.cut) if args.cut is not None else None
     if mode == "hybrid-dd":
@@ -165,7 +175,7 @@ def _run_engine(args, circuit: Circuit, mode: str):
                             amp_cap=args.amp_cap, check_norm=check)
         pkg, edge = res.package, res.state
         return (lambda bits: pkg.get_amplitude(edge, bits),
-                lambda: pkg.extract_statevector(edge),
+                lambda: pkg.extract_statevector(edge, circuit.n),
                 res.stats)
     res = run_hybrid_amp(circuit, partition, workers=workers, tol=args.tol,
                          amp_cap=args.amp_cap, check_norm=check)

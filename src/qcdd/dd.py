@@ -31,9 +31,12 @@ within ``tol`` of 0 in both components counts as zero, as it would after a
 lookup.
 
 ``matrix_dd`` builds an operator from one dense ``2**m x 2**m`` matrix, or
-from 2x2 factors on distinct qubits, whose Kronecker product it is.  The
-factor form has one node per level, however many qubits it acts on, so a
-layer of one-qubit gates is one operator and one ``multiply``.
+from 2x2 factors on distinct qubits, whose Kronecker product it is, in one
+bottom-up pass over the levels.  A level without an operand is the node
+that repeats the edge below on its diagonal, made directly, so
+:meth:`Package.make_matrix_node` runs only at operand levels.
+The factor form has one node per level, however many qubits it acts on, so
+a layer of one-qubit gates is one operator and one ``multiply``.
 
 A :class:`Package` owns the unique table, the memoization caches, and the
 weight table, and is strictly single-writer.  Operator diagrams are
@@ -532,12 +535,21 @@ class Package:
         ``base`` is either one ``2**m x 2**m`` matrix on the ``m`` listed
         qubits (first listed = most significant matrix bit), or ``m`` 2x2
         factors, one per listed qubit (distinct), whose Kronecker product is
-        the operator; a 2x2 matrix is both.  The factor form is built from
-        the bottom level up, one node per level: a factor's level scales the
-        edge below by each of its entries, and the other levels repeat that
-        edge on the diagonal.  The entries are looked up, the weights along
-        the chain stay raw (:meth:`make_matrix_node` looks up only the
-        ratios), and the root's weight is looked up last.
+        the operator; a 2x2 matrix is both.  The diagram is built from the
+        bottom up, in one pass over the levels.  A level without an operand
+        repeats the edge below on its diagonal and is made directly
+        (:meth:`_diagonal`); only an operand level goes through
+        :meth:`make_matrix_node`, so a CZ makes five such calls on any
+        qubits of any register.
+
+        The factor form has one node per level: a factor's level scales the
+        edge below by each of its entries.  The entries are looked up, the
+        weights along the chain stay raw (:meth:`make_matrix_node` looks up
+        only the ratios), and the root's weight is looked up last.  The
+        dense form builds the identity below its lowest operand once; each
+        1x1 block of the matrix scales it by the block's looked-up value (a
+        value that looks up as ZERO gives the zero edge), and each operand
+        level joins four sub-blocks, zero blocks included.
 
         Memoized by content, under ``(n, qubits, matrix bytes)``, until the
         next :meth:`gc`, so a reused package never returns a stale diagram;
@@ -561,16 +573,18 @@ class Package:
         if e is not None:
             return e
         lookup = self.weights.lookup
+        diagonal = self._diagonal
         if factors:
-            by_level = dict(zip(qubits, base))
+            by_level = dict(zip(qubits, base.tolist()))
             e = ONE_EDGE
             for level in range(n):
                 f = by_level.get(level)
                 if f is None:
-                    e = self.make_matrix_node(level, (e, ZERO_EDGE, ZERO_EDGE, e))
+                    e = diagonal(level, e)
                 else:
                     w, t = e
-                    e = self.make_matrix_node(level, [(lookup(complex(x)) * w, t) for x in f.flat])
+                    (a, b), (c, d) = f
+                    e = self.make_matrix_node(level, [(lookup(x) * w, t) for x in (a, b, c, d)])
             e = self._memo_op[key] = self._intern(e)
             return e
         order = sorted(range(m), key=lambda i: -qubits[i])
@@ -579,24 +593,39 @@ class Package:
             axes = order + [m + i for i in order]
             base = np.ascontiguousarray(t.transpose(axes)).reshape(1 << m, 1 << m)
         qs = [qubits[i] for i in order]  # descending
+        rows = base.tolist()
+        below = ONE_EDGE  # the identity below the lowest operand
+        for level in range(qs[-1] if qs else n):
+            below = diagonal(level, below)
+        chain = below[1]
 
-        def build(level: int, k: int, mat: np.ndarray) -> Edge:
-            if level < 0:
-                v = complex(mat[0, 0])
-                return (lookup(v), 0) if v != 0 else ZERO_EDGE
-            if k < m and level == qs[k]:
-                h = mat.shape[0] // 2
-                succ = [
-                    build(level - 1, k + 1, mat[i * h : (i + 1) * h, j * h : (j + 1) * h])
-                    for i in (0, 1)
-                    for j in (0, 1)
-                ]
-                return self.make_matrix_node(level, succ)
-            e = build(level - 1, k, mat)
-            return self.make_matrix_node(level, (e, ZERO_EDGE, ZERO_EDGE, e))
+        def build(top: int, k: int, r: int, c: int, size: int) -> Edge:
+            # the levels top..qs[k] of the block at row r, column c
+            if k == m:
+                v = rows[r][c]
+                w = lookup(v) if v != 0 else ZERO
+                return (w, chain) if w != ZERO else ZERO_EDGE
+            q, h = qs[k], size // 2
+            succ = [
+                build(q - 1, k + 1, r + i * h, c + j * h, h) for i in (0, 1) for j in (0, 1)
+            ]
+            e = self.make_matrix_node(q, succ)
+            for level in range(q + 1, top + 1):
+                e = diagonal(level, e)
+            return e
 
-        e = self._memo_op[key] = build(n - 1, 0, base)
+        e = self._memo_op[key] = build(n - 1, 0, 0, 0, 1 << m)
         return e
+
+    def _diagonal(self, level: int, e: Edge) -> Edge:
+        """The edge of the node at ``level`` that repeats ``e`` on its
+        diagonal, weight ``e``'s as it is: what :meth:`make_matrix_node`
+        gives for ``(e, 0, 0, e)``, without its lookups."""
+        w, t = e
+        tol = self.weights.tol
+        if -tol <= w.real <= tol and -tol <= w.imag <= tol:
+            return ZERO_EDGE
+        return (w, self._unique((level, ONE, t, ZERO, 0, ZERO, 0, ONE, t)))
 
     # ------------------------------------------------------------------
     # garbage collection

@@ -14,7 +14,8 @@ Each block is folded by :func:`qcdd.schrodinger.apply_ops`, the reference
 engine's own gate loop.
 
 The paths are walked in order through the decision tree.  Each block's ops
-are split once at the decisions into segments, and a walk record holds a
+are split once at the decisions into segments, each segment's runs of
+one-qubit gates fused into one op apiece, and a walk record holds a
 stack of prefix states per block, so a path resumes from the prefix it
 shares with the previous one and folds only the segments after it.  A
 prefix whose state is zero in either block answers every path under it
@@ -62,8 +63,8 @@ import numpy as np
 
 from .circuit import CapacityError, Circuit, Gate
 from .dd import ZERO_EDGE, Edge, Package
-from .schrodinger import apply_ops
-from .weights import ONE
+from .schrodinger import apply_ops, fuse_runs
+from .weights import ONE, check_tolerance
 
 
 class TopologyError(Exception):
@@ -104,10 +105,14 @@ class Classification:
     ``lower_segments``/``upper_segments`` are each block's ops in circuit
     order, in block-local qubits, split at the decisions: segment 0 holds
     the gates before decision 0, and segment ``j + 1`` opens with decision
-    ``j`` and holds the gates up to the next decision.  An op is
-    ``(qubits, matrix, None)`` for a gate, or ``((qubit,), factors, j)``
-    for decision ``j``, where ``factors[d]`` is the block's 2x2 factor of
-    term ``d``.
+    ``j`` and holds the gates up to the next decision.  The gates are
+    fused as the segments are made (:func:`~qcdd.schrodinger.fuse_runs`):
+    an op is ``(qubits, matrix, None)`` for a gate on several qubits,
+    ``(qubits, factors, None)`` for a run of one-qubit gates on distinct
+    qubits, with their ``(m, 2, 2)`` stacked matrices, or
+    ``((qubit,), factors, j)`` for decision ``j``, where ``factors[d]`` is
+    the block's 2x2 factor of term ``d``.  A decision stays an op of its
+    own, since the walk applies it alone.
     """
 
     lower: list[int]
@@ -184,6 +189,11 @@ def classify(circuit: Circuit, partition: Partition) -> Classification:
         else:
             upper.append(i)
             upper_segments[-1].append((tuple(q - k for q in qs), g.operator(), None))
+    for segments in (lower_segments, upper_segments):
+        for s, segment in enumerate(segments):
+            # fuse the gates; a segment's opening decision stays an op of its own
+            first = 1 if s else 0
+            segment[first:] = [(qs, m, None) for qs, m, _ in fuse_runs(segment[first:])]
     return Classification(lower, upper, decisions, lower_segments, upper_segments)
 
 
@@ -667,6 +677,8 @@ def run_hybrid_amp(
         raise CapacityError(
             f"amplitude mode needs an output of 2**{n} amplitudes; cap is 2**{amp_cap}"
         )
+    # the block packages are made in the workers: check the tolerance here
+    check_tolerance(tol)
     partition = partition or default_partition(n)
     cls = classify(circuit, partition)
     summer = _AmpSum(n, partition.cut, cls.path_count, tol, amp_cap)

@@ -2,14 +2,51 @@
 state diagram, one multiplication per operator, where each run of one-qubit
 gates on distinct qubits is one operator (their Kronecker product).  This is
 the reference engine the cutting engines are checked against, and its fold,
-:func:`apply_ops`, is the one the cutting engines run on each block."""
+:func:`apply_ops`, is the one the cutting engines run on each block.
+
+The runs are fused once, where an op list is made (:func:`fuse_runs`, which
+:func:`simulate` and :func:`qcdd.hybrid.classify` call); :func:`apply_ops`
+only cuts a fused run short when the package is near its gc limit."""
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .circuit import Circuit
 from .dd import Edge, Package
+
+
+def fuse_runs(ops: Iterable[tuple]) -> list[tuple]:
+    """``(qubits, matrix, unitary)`` ops with each maximal run of
+    consecutive one-qubit ops on distinct qubits as one op
+    ``(qubits, factors, unitary)``: ``factors`` stacks their 2x2 matrices
+    as an ``(m, 2, 2)`` array (the factor form of
+    :meth:`Package.matrix_dd`), and ``unitary`` holds only if all of them
+    are.  Any other op passes as it is."""
+    out: list[tuple] = []
+    run: list[tuple] = []
+    for op in ops:
+        qubits = op[0]
+        if run and (len(qubits) != 1 or qubits[0] in seen):
+            out.append(_stack(run))
+            run = []
+        if len(qubits) != 1:
+            out.append(op)
+            continue
+        if not run:
+            seen: set[int] = set()
+        run.append(op)
+        seen.add(qubits[0])
+    if run:
+        out.append(_stack(run))
+    return out
+
+
+def _stack(run: list[tuple]) -> tuple:
+    qubits, factors, unitary = zip(*run)
+    return tuple(q for q, in qubits), np.array(factors, dtype=complex), all(unitary)
 
 
 def apply_ops(
@@ -21,23 +58,22 @@ def apply_ops(
     roots: Iterable[Edge] = (),
 ) -> Edge:
     """Fold ``(qubits, matrix, unitary)`` ops into ``start``, by default
-    |0...0> on ``n`` qubits.
+    |0...0> on ``n`` qubits, one operator per op.
 
-    Each maximal run of consecutive one-qubit ops on distinct qubits is
-    applied as one operator, the Kronecker product of their matrices
-    (the factor form of :meth:`Package.matrix_dd`), so a layer of one-qubit
-    gates walks the state once.  The package may collect garbage after
-    every operator, with the state and ``roots`` (states the caller still
-    needs) as its vector roots; since it cannot collect inside one, a run is
-    cut after ``max(1, gc_limit // (2 * live nodes))`` ops, counted as the
-    run starts.  ``check_norm`` asserts that every unitary operator keeps
-    the norm, which starts as the start state's; an operator with a
-    non-unitary op (a decision factor, which projects) sets the norm the
-    following ones must keep.
+    An op from :func:`fuse_runs` is one Kronecker-product operator, so a
+    layer of one-qubit gates walks the state once.  The package may collect
+    garbage after every operator, with the state and ``roots`` (states the
+    caller still needs) as its vector roots; since it cannot collect inside
+    one, a fused run is cut into pieces of at most
+    ``max(1, gc_limit // (2 * live nodes))`` factors, the bound taken anew
+    before each piece.  ``check_norm`` asserts that every unitary operator
+    keeps the norm, which starts as the start state's; an operator with a
+    non-unitary op (a decision factor, which projects; a piece counts as
+    one when its run does) sets the norm the following ones must keep.
     """
     state = pkg.make_basis_state(n, "0" * n) if start is None else start
     expected = pkg.norm(state) if check_norm else 1.0
-    for i, (qubits, matrix, unitary) in enumerate(_operators(pkg, ops)):
+    for i, (qubits, matrix, unitary) in enumerate(_pieces(pkg, ops)):
         state = pkg.multiply(pkg.matrix_dd(n, qubits, matrix), state)
         if check_norm:
             nrm = pkg.norm(state)
@@ -51,33 +87,20 @@ def apply_ops(
     return state
 
 
-def _operators(pkg: Package, ops: Iterable[tuple]) -> Iterator[tuple]:
-    """``ops`` as the operators :func:`apply_ops` applies: a run of
-    one-qubit ops becomes ``(qubits, factors, unitary)``, ``unitary`` only
-    if all of them are; any other op passes as it is.  Lazy, so the bound
-    on a run's length is taken from the package after the operators before
-    it have been applied."""
-    run: list[tuple] = []
-    for op in ops:
-        qubits = op[0]
-        if run and (len(qubits) != 1 or len(run) == cap or qubits[0] in seen):
-            yield _fuse(run)
-            run = []
-        if len(qubits) != 1:
-            yield op
+def _pieces(pkg: Package, ops: Iterable[tuple]) -> Iterator[tuple]:
+    """``ops`` as the operators :func:`apply_ops` applies: a fused run in
+    pieces of at most the bound, any other op as it is.  Lazy, so each
+    piece's bound is taken from the package after the operators before it
+    have been applied."""
+    for qubits, matrix, unitary in ops:
+        if np.ndim(matrix) != 3:
+            yield qubits, matrix, unitary
             continue
-        if not run:
+        pos = 0
+        while pos < len(qubits):
             cap = max(1, pkg.gc_limit // (2 * max(1, pkg.live_nodes())))
-            seen: set[int] = set()
-        run.append(op)
-        seen.add(qubits[0])
-    if run:
-        yield _fuse(run)
-
-
-def _fuse(run: list[tuple]) -> tuple:
-    qubits, factors, unitary = zip(*run)
-    return tuple(q for q, in qubits), factors, all(unitary)
+            yield qubits[pos : pos + cap], matrix[pos : pos + cap], unitary
+            pos += cap
 
 
 def simulate(circuit: Circuit, pkg: Package, *, check_norm: bool = False) -> Edge:
@@ -87,5 +110,5 @@ def simulate(circuit: Circuit, pkg: Package, *, check_norm: bool = False) -> Edg
     (all circuit gates are unitary).  Garbage collection kicks in
     automatically when the package outgrows its node limit.
     """
-    ops = ((g.qubits, g.operator(), True) for g in circuit.gates)
+    ops = fuse_runs((g.qubits, g.operator(), True) for g in circuit.gates)
     return apply_ops(pkg, circuit.n, ops, check_norm)

@@ -35,6 +35,16 @@ ONE = 1 + 0j
 _PROBES = ((0, 0), (0, -1), (0, 1), (-1, 0), (-1, -1), (-1, 1), (1, 0), (1, -1), (1, 1))
 
 
+def check_tolerance(tol: float) -> float:
+    """``tol`` itself if it can serve as a table's tolerance, strictly
+    between 0 and 1; ``ValueError`` otherwise.  At 1 or above, ONE lies
+    within ``tol`` of ZERO and looks up as it, which collapses every state
+    to zero."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must be between 0 and 1 (exclusive), got {tol}")
+    return tol
+
+
 class ComplexTable:
     """Append-only table of canonical complex values.
 
@@ -44,9 +54,7 @@ class ComplexTable:
     """
 
     def __init__(self, tol: float = 1e-13):
-        if not tol > 0:
-            raise ValueError(f"tolerance must be positive, got {tol}")
-        self.tol = tol
+        self.tol = check_tolerance(tol)
         self._buckets: dict[tuple[int, int], list[complex]] = {}
         self._size = 0
         # value -> representative of every value looked up since the last

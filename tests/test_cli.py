@@ -174,6 +174,26 @@ def test_worker_count_below_one_is_rejected(tmp_path, fig4_qasm, fig4, capsys, w
         assert "worker" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "inf", "1e300", "nan"])
+def test_tolerance_outside_zero_one_is_a_usage_error(tmp_path, fig4_qasm, fig4, capsys, tol):
+    # at tol >= 1 ONE looks up as ZERO, and every state collapses to zero
+    with pytest.raises(ValueError, match="tolerance"):
+        run_hybrid_amp(fig4, workers=2, tol=float(tol))
+    path = write_fig(tmp_path, fig4_qasm)
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(f"tol = {tol}\n")
+    cmds = [["run", path, "--mode", mode, "--amplitudes", "all", "--workers", "2", *extra]
+            for mode in ("schrodinger", "hybrid-dd", "hybrid-amp")
+            for extra in (["--tol", tol], ["--config", str(cfg)])]
+    cmds += [["verify", path, "--tol", tol], ["verify", path, "--config", str(cfg)],
+             ["bench", "--qubits", "4", "--depths", "2", "--seeds", "0", "--tol", tol]]
+    for cmd in cmds:
+        assert main(cmd) == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 def test_dense_cap_is_a_verify_flag(tmp_path, fig4_qasm, capsys):
     # only verify runs the dense oracle, so only verify takes its cap
     path = write_fig(tmp_path, fig4_qasm)

@@ -430,6 +430,69 @@ def test_sx_chain_keeps_its_weights_raw():
         assert np.abs(col - want[:, j]).max() < 1e-15
 
 
+def dense_operand(rng, m, tol=1e-13):
+    """A random ``2**m x 2**m`` matrix with zero rows, zero columns, zero
+    2x2 blocks and entries within ``tol`` of zero mixed in."""
+    d = 1 << m
+    mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for _ in range(rng.integers(4)):
+        i, j = rng.integers(d, size=2)
+        kind = rng.integers(4)
+        if kind == 0:
+            mat[i] = 0
+        elif kind == 1:
+            mat[:, j] = 0
+        elif kind == 2 and m:
+            mat[i & ~1 : (i & ~1) + 2, j & ~1 : (j & ~1) + 2] = 0
+        else:
+            mat[i, j] = complex(*rng.uniform(-0.9, 0.9, size=2)) * tol
+    return mat
+
+
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_dense_form_matches_apply_matrix(seed, m, n):
+    rng = np.random.default_rng(seed)
+    m = min(m, n)
+    qubits = tuple(int(q) for q in rng.permutation(n)[:m])
+    mat = dense_operand(rng, m)
+    pkg = Package()
+    e = pkg.matrix_dd(n, qubits, mat)
+    for j, col in matrix_columns(pkg, e, n, range(1 << n)):
+        basis = np.zeros(1 << n, dtype=complex)
+        basis[j] = 1
+        assert np.abs(col - apply_matrix(basis, mat, qubits, n)).max() < 1e-12
+    assert_identity_record(pkg)
+
+
+def test_operator_builds_call_make_matrix_node_only_at_operand_levels(monkeypatch):
+    calls = []
+    make = Package.make_matrix_node
+
+    def counted(pkg, level, succ):
+        calls.append(level)
+        return make(pkg, level, succ)
+
+    monkeypatch.setattr(Package, "make_matrix_node", counted)
+    cz = Gate("cz", controls=(0,), targets=(1,)).operator()
+    for n, qubits in ((14, (13, 12)), (14, (1, 0)), (20, (10, 9))):
+        pkg = Package()
+        calls.clear()
+        e = pkg.matrix_dd(n, qubits, cz)
+        assert len(calls) == 5 and set(calls) == set(qubits)
+        assert pkg.live_nodes() == pkg.count_nodes(e) == n + 1
+    rng = np.random.default_rng(19)
+    for m in (1, 2, 3):
+        for _ in range(5):
+            qubits = tuple(int(q) for q in rng.permutation(7)[:m])
+            calls.clear()
+            Package().matrix_dd(7, qubits, dense_operand(rng, m))
+            assert 0 < len(calls) <= (4**m - 1) // 3
+            calls.clear()
+            Package().matrix_dd(7, qubits, [two_by_two(rng) for _ in qubits])
+            assert sorted(calls) == sorted(qubits)
+
+
 def test_factor_form_rejects_repeated_qubits_and_bad_shapes():
     pkg = Package()
     x = Gate("x", targets=(0,)).operator()

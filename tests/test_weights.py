@@ -35,6 +35,13 @@ def test_near_constants_snap_to_reserved():
     assert t.lookup(complex(-0.0, 0.0)) == ZERO
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-13, 1.0, 1e300, math.inf, math.nan])
+def test_rejects_a_tolerance_outside_zero_one(tol):
+    # at tol >= 1 ONE lies within tol of ZERO and would look up as it
+    with pytest.raises(ValueError, match="tolerance"):
+        ComplexTable(tol)
+
+
 def test_rejects_non_finite():
     t = ComplexTable()
     for bad in (complex(float("nan"), 0), complex(0, float("inf")), complex(float("-inf"), 1)):
