@@ -386,13 +386,6 @@ class Package:
     # ------------------------------------------------------------------
     # algebra
 
-    def _scale(self, e: Edge, w: complex) -> Edge:
-        if w == ONE:
-            return e
-        if w == ZERO or e[0] == ZERO:
-            return ZERO_EDGE
-        return (self.weights.mul(e[0], w), e[1])
-
     def add(self, a: Edge, b: Edge) -> Edge:
         """Elementwise sum of two vector diagrams of equal qubit count."""
         levels = [self._vector_root(t)[0] for _, t in (a, b) if t]

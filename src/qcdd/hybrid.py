@@ -39,13 +39,15 @@ lower diagrams of the paths that share an upper node, and splices each
 distinct upper node once, above its sum, which forms the tensor products
 by distributivity.
 
-With ``W`` workers of ``P`` paths, worker ``w`` is a forked OS process that
-walks the contiguous path range ``[w * P // W, (w + 1) * P // W)``, so
-only a subtree cut by a range boundary has prefixes that two workers both
-fold.  It replies through its own pipe; workers share no lock.  An
-amplitude worker has written its rows in place in the mapping, which this
-process made before the fork, and sends none; a DD worker sends its partial
-sum copied into a fresh package, and this process combines them.
+With ``W`` workers of ``P`` paths, worker ``w`` walks the contiguous path
+range ``[w * P // W, (w + 1) * P // W)``, so only a subtree cut by a range
+boundary has prefixes that two workers both fold.  Worker 0 is the calling
+process; workers ``1..W-1`` are forked OS processes, forked before worker 0
+folds a path, and each replies through its own pipe; workers share no
+lock.  Every worker writes its amplitude rows in place in the mapping,
+which the caller made before the fork, so a forked amplitude worker sends
+none; a forked DD worker sends its partial sum copied into a fresh package,
+and the caller adds the partials to its own sum.
 """
 
 from __future__ import annotations
@@ -407,7 +409,7 @@ class _AmpSum:
             first, w = hit
             np.multiply(first, e[0] / w, out=row)
 
-    def ship(self):
+    def ship(self, times: dict):
         """Nothing: the rows are already in the shared mapping."""
 
     def total(self, shipped, times: dict) -> np.ndarray:
@@ -435,9 +437,9 @@ class _DDSum:
     addition tree has logarithmic depth in the number of groups.  The run's
     package may collect garbage after each path and each splice, with the
     counter's slots, the groups not yet spliced and the imported edges as
-    roots.  A worker ships its partial sum copied into a fresh package,
-    with its number of splices; the parent imports the partials and adds
-    them by the same counter."""
+    roots.  A forked worker ships its partial sum copied into a fresh
+    package, with its number of splices; the calling process splices its
+    own groups, imports the partials and adds them by the same counter."""
 
     mode = "hybrid-dd"
 
@@ -508,13 +510,17 @@ class _DDSum:
         live = [s for s in self.slots if s is not None]
         return functools.reduce(lambda acc, s: self.pkg.add(s, acc), live, ZERO_EDGE)
 
-    def ship(self):
-        """A worker's partial: its sum copied into a fresh package, which
-        holds only that diagram's nodes, the edge there, and the number of
-        groups it spliced."""
-        self._splice(dict.fromkeys(_STAGES, 0.0))
+    def ship(self, times: dict):
+        """A forked worker's partial: its sum copied into a fresh package,
+        which holds only that diagram's nodes, the edge there, and the
+        number of groups it spliced.  The splices are booked in ``times``
+        as in ``total``, the sum and the copy as ``add``."""
+        self._splice(times)
+        t0 = time.perf_counter()
         out = Package(self.tol, extract_cap=self.amp_cap)
-        return out, out.import_edge(self.pkg, self._sum()), self.splices
+        edge = out.import_edge(self.pkg, self._sum())
+        times["add"] += time.perf_counter() - t0
+        return out, edge, self.splices
 
     def total(self, shipped, times: dict) -> Edge:
         self._splice(times)
@@ -558,24 +564,41 @@ def _worker(circuit, partition, cls, w, workers, check_norm, summer, conn):
     """A forked worker: sums its paths and sends one reply through its pipe."""
     try:
         times, *counts = _sum_paths(circuit, partition, cls, w, workers, check_norm, summer)
-        t0 = time.perf_counter()
-        partial = summer.ship()
-        times["add"] += time.perf_counter() - t0
-        conn.send(("ok", partial, times, *counts))
+        conn.send(("ok", summer.ship(times), times, *counts))
     except BaseException:
         conn.send(("err", traceback.format_exc()))
 
 
-def _fork_workers(circuit, partition, cls, workers, check_norm, summer) -> list[tuple]:
-    """Fork the workers, each with its own pipe, and receive their replies
-    (partial, times, max_nodes, zero_paths, fold_hits) in turn.  A worker
-    that raises sends its traceback; one that dies without reporting (hard
-    kill, out-of-memory) leaves EOF on its pipe.  Either way the others are
-    terminated, all are joined, and the run fails instead of hanging."""
+def _run_paths(circuit, partition, cls, workers, check_norm, summer):
+    """The path sum of both modes; ``summer`` decides how paths recombine.
+
+    Worker ``w`` of ``W`` walks the ``w``-th of ``W`` contiguous path
+    ranges.  Worker 0 is this process; workers ``1..W-1`` are forked, each
+    with its own pipe, before this process folds its first path, so none
+    inherits its partial sum.  With one worker nothing is forked.
+    Returns (sum, stats record); the record's ``zero_paths``
+    counts the paths answered with a zero block state and its
+    ``fold_hits`` the segment folds answered from the walk records' fold
+    tables, both over all workers.
+
+    A summer takes each non-zero path, with its index, by ``add_path``; a
+    forked worker replies with ``ship(times)``, and ``total`` gives the
+    run's sum from this process's paths and the list of those replies.  A
+    forked worker that raises sends its traceback; one that dies without
+    reporting (hard kill, out-of-memory) leaves EOF on its pipe.  Either
+    way, and when worker 0's own range raises, the forked workers are
+    terminated, all are joined, and the run fails instead of hanging.
+    ``workers`` below 1 raises ``ValueError``; ``None`` means 1.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    total = cls.path_count
+    workers = min(workers or 1, total)
+    t_start = time.perf_counter()
     ctx = mp.get_context("fork")
-    procs, conns, replies = [], [], []
+    procs, conns, shipped = [], [], []
     try:
-        for w in range(workers):
+        for w in range(1, workers):
             conn, child_conn = ctx.Pipe(duplex=False)
             conns.append(conn)
             args = (circuit, partition, cls, w, workers, check_norm, summer, child_conn)
@@ -584,7 +607,8 @@ def _fork_workers(circuit, partition, cls, workers, check_norm, summer) -> list[
             procs.append(proc)
             # the worker holds the only write end, so its exit means EOF here
             child_conn.close()
-        for w, (proc, conn) in enumerate(zip(procs, conns)):
+        replies = [_sum_paths(circuit, partition, cls, 0, workers, check_norm, summer)]
+        for w, (proc, conn) in enumerate(zip(procs, conns), 1):
             try:
                 reply = conn.recv()
             except EOFError:
@@ -594,7 +618,8 @@ def _fork_workers(circuit, partition, cls, workers, check_norm, summer) -> list[
                 ) from None
             if reply[0] == "err":
                 raise RuntimeError(f"worker {w} failed:\n{reply[1]}")
-            replies.append(reply[1:])
+            shipped.append(reply[1])
+            replies.append(reply[2:])
     except BaseException:
         for proc in procs:
             proc.terminate()
@@ -604,47 +629,14 @@ def _fork_workers(circuit, partition, cls, workers, check_norm, summer) -> list[
             proc.join()
         for conn in conns:
             conn.close()
-    return replies
-
-
-def _run_paths(circuit, partition, cls, workers, check_norm, summer):
-    """The path sum of both modes; ``summer`` decides how paths recombine.
-
-    With one worker the paths are summed in this process.  Otherwise worker
-    ``w`` of ``W`` is forked to walk the ``w``-th of ``W`` contiguous path
-    ranges, and the workers' partial sums are combined here.  Returns (sum,
-    stats record); the record's ``zero_paths`` counts the paths answered
-    with a zero block state and its ``fold_hits`` the segment folds answered
-    from the walk records' fold tables, both over all workers.
-
-    A summer takes each non-zero path, with its index, by ``add_path``; a
-    forked worker replies with ``ship()``, and ``total`` gives the run's sum
-    from this process's paths and the list of those replies.  ``workers``
-    below 1 raises ``ValueError``; ``None`` means 1.
-    """
-    if workers is not None and workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
-    total = cls.path_count
-    workers = min(workers or 1, total)
-    t_start = time.perf_counter()
-    if workers == 1:
-        times, max_nodes, zero_paths, fold_hits = _sum_paths(
-            circuit, partition, cls, 0, 1, check_norm, summer
-        )
-        shipped = []
-    else:
-        replies = _fork_workers(circuit, partition, cls, workers, check_norm, summer)
-        shipped, worker_times, nodes, zeros, hits = zip(*replies)
-        max_nodes = max(nodes)
-        zero_paths = sum(zeros)
-        fold_hits = sum(hits)
-        times = {stage: sum(t[stage] for t in worker_times) for stage in _STAGES}
+    worker_times, nodes, zeros, hits = zip(*replies)
+    times = {stage: sum(t[stage] for t in worker_times) for stage in _STAGES}
     result = summer.total(shipped, times)
     times["total"] = time.perf_counter() - t_start
     return result, dict(
         mode=summer.mode, n=circuit.n, cut=partition.cut, decisions=len(cls.decisions),
-        path_count=total, workers=workers, times=times, max_path_nodes=max_nodes,
-        zero_paths=zero_paths, fold_hits=fold_hits,
+        path_count=total, workers=workers, times=times, max_path_nodes=max(nodes),
+        zero_paths=sum(zeros), fold_hits=sum(hits),
     )
 
 

@@ -224,8 +224,9 @@ def test_criterion_10_canonicity_1000_orders():
         def build(order):
             acc = ZERO_EDGE
             for i in order:
-                e = pkg.make_basis_state(n, format(i, f"0{n}b"))
-                acc = pkg.add(acc, pkg._scale(e, pkg.weights.lookup(complex(vec[i]))))
+                # a basis state's edge is (ONE, t): scaled by w it is (w, t)
+                _, t = pkg.make_basis_state(n, format(i, f"0{n}b"))
+                acc = pkg.add(acc, (pkg.weights.lookup(complex(vec[i])), t))
             return acc
 
         ea = build(order_a)

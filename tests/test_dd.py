@@ -578,8 +578,9 @@ def build_by_basis_sum(pkg, vec, order):
     for idx in order:
         if vec[idx] == 0:
             continue
-        e = pkg.make_basis_state(n, format(idx, f"0{n}b"))
-        acc = pkg.add(acc, pkg._scale(e, pkg.weights.lookup(complex(vec[idx]))))
+        # a basis state's edge is (ONE, t): scaled by w it is (w, t)
+        _, t = pkg.make_basis_state(n, format(idx, f"0{n}b"))
+        acc = pkg.add(acc, (pkg.weights.lookup(complex(vec[idx])), t))
     return acc
 
 

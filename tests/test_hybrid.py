@@ -816,9 +816,14 @@ def test_worker_hard_death_detected(monkeypatch, engine):
     import qcdd.hybrid as hybrid_mod
 
     c = generate_random_circuit(6, 4, seed=2, cz_density=0.6)
+    parent = os.getpid()
+    real = hybrid_mod.simulate_path
 
     def die(*args, **kwargs):
-        os.kill(os.getpid(), signal.SIGKILL)
+        # worker 0 is this process: only the forked worker dies
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(hybrid_mod, "simulate_path", die)
     with pytest.raises(RuntimeError, match="died without reporting"):
@@ -834,7 +839,8 @@ def test_worker_failure_surfaces(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("injected path failure")
 
-    # forked workers inherit the patched module, so the failure happens there
+    # worker 0, this process, fails in its own range and the forked worker
+    # inherits the patched module, so the failure happens in both
     monkeypatch.setattr(hybrid_mod, "simulate_path", boom)
     with pytest.raises(RuntimeError, match="worker .* failed|injected"):
         hybrid_mod.run_hybrid_amp(c, workers=2)
@@ -842,7 +848,7 @@ def test_worker_failure_surfaces(monkeypatch):
         hybrid_mod.run_hybrid_dd(c, workers=2)
 
 
-@pytest.mark.parametrize("dying_worker", [0, 1], ids=["worker-0", "worker-1"])
+@pytest.mark.parametrize("dying_worker", [1, 2], ids=["worker-1", "worker-2"])
 @pytest.mark.parametrize(
     "engine", ["run_hybrid_amp", "run_hybrid_dd"], ids=["hybrid-amp", "hybrid-dd"]
 )
@@ -857,8 +863,9 @@ def test_one_worker_dies_the_other_finishes(monkeypatch, engine, dying_worker):
     c = generate_random_circuit(8, 4, seed=2, cz_density=0.6)
     cls = classify(c, default_partition(8))
     assert cls.path_count >= 4
-    # the first path of the dying worker's range [w * P // 2, (w + 1) * P // 2)
-    fatal = path_digits(cls.decisions, dying_worker * cls.path_count // 2)
+    # the first path of the dying worker's range [w * P // 3, (w + 1) * P // 3);
+    # worker 0 is this process, so the first and the last forked worker die
+    fatal = path_digits(cls.decisions, dying_worker * cls.path_count // 3)
     real = hybrid_mod.simulate_path
 
     def die_on_one_path(circuit, partition, path, *args, **kwargs):
@@ -870,22 +877,66 @@ def test_one_worker_dies_the_other_finishes(monkeypatch, engine, dying_worker):
     monkeypatch.setattr(hybrid_mod, "simulate_path", die_on_one_path)
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match=r"died without reporting \(exit code -9\)"):
-        getattr(hybrid_mod, engine)(c, workers=2)
+        getattr(hybrid_mod, engine)(c, workers=3)
     assert time.perf_counter() - t0 < 10
     assert mp.active_children() == []
 
 
+@pytest.mark.parametrize(
+    "engine, summer",
+    [("run_hybrid_amp", "_AmpSum"), ("run_hybrid_dd", "_DDSum")],
+    ids=["hybrid-amp", "hybrid-dd"],
+)
+def test_caller_walks_range_zero(monkeypatch, engine, summer):
+    # of two workers, worker 0 is this process: it walks the first half of
+    # the paths itself, and its sum meets the one forked worker's reply
+    import qcdd.hybrid as hybrid_mod
+
+    c = generate_random_circuit(8, 4, seed=2, cz_density=0.6)
+    cls = classify(c, default_partition(8))
+    calls, shipped = [], []
+    real = hybrid_mod.simulate_path
+    total = getattr(hybrid_mod, summer).total
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    def recording(self, replies, times):
+        shipped.append(len(replies))
+        return total(self, replies, times)
+
+    monkeypatch.setattr(hybrid_mod, "simulate_path", counted)
+    monkeypatch.setattr(getattr(hybrid_mod, summer), "total", recording)
+    res = getattr(hybrid_mod, engine)(c, workers=2)
+    assert calls == [path_digits(cls.decisions, i) for i in range(cls.path_count // 2)]
+    assert shipped == [1]
+    assert res.workers == 2
+    got = res.vector if res.vector is not None else res.package.extract_statevector(res.state, 8)
+    assert np.abs(got - dense_simulate(c)).max() < 1e-9
+
+
 def test_amp_workers_write_rows_in_place():
-    # two forked workers write their paths' rows into the summer's shared
-    # mapping and reply with none; a zero path's rows stay zero
+    # this process and a forked worker write their paths' rows into the
+    # summer's shared mapping, and the forked worker replies with none; a
+    # zero path's rows stay zero
     import qcdd.hybrid as hybrid_mod
 
     c = generate_random_circuit(8, 4, seed=2, cz_density=0.6)
     p = default_partition(8)
     cls = classify(c, p)
     summer = hybrid_mod._AmpSum(8, p.cut, cls.path_count, 1e-13, 30)
-    replies = hybrid_mod._fork_workers(c, p, cls, 2, False, summer)
-    assert [partial for partial, *_ in replies] == [None, None]
+    shipped = []
+    total = summer.total
+
+    def recording(replies, times):
+        shipped.extend(replies)
+        return total(replies, times)
+
+    summer.total = recording
+    vector, stats = hybrid_mod._run_paths(c, p, cls, 2, False, summer)
+    assert stats["workers"] == 2
+    assert shipped == [None]
     nonzero = 0
     for i in range(cls.path_count):
         up, lo = Package(), Package()
@@ -897,8 +948,7 @@ def test_amp_workers_write_rows_in_place():
             assert np.abs(summer.upper[i] - up.extract_statevector(ue, 8 - p.cut)).max() < 1e-12
             assert np.abs(summer.lower[i] - lo.extract_statevector(le, p.cut)).max() < 1e-12
     assert 0 < nonzero < cls.path_count
-    times = dict.fromkeys(hybrid_mod._STAGES, 0.0)
-    assert np.abs(summer.total([None, None], times) - dense_simulate(c)).max() < 1e-9
+    assert np.abs(vector - dense_simulate(c)).max() < 1e-9
 
 
 def test_amp_total_allocates_only_the_output():
@@ -974,7 +1024,11 @@ def test_dd_ship_sends_only_live_nodes():
     summer = hybrid_mod._DDSum(p.cut, 1e-13, 30)
     summer.pkg.gc_limit = 0  # sweep after every path and splice, leaving freed slots behind
     hybrid_mod._sum_paths(c, p, cls, 0, 1, False, summer)
-    pkg, edge, splices = summer.ship()
+    assert summer.groups
+    times = dict.fromkeys(hybrid_mod._STAGES, 0.0)
+    pkg, edge, splices = summer.ship(times)
+    # a forked worker books its splices as the calling process does
+    assert times["kron"] > 0 and times["add"] > 0
     assert None in summer.pkg._nodes[1:]
     assert splices > 0
     assert None not in pkg._nodes[1:]
