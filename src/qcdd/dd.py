@@ -85,7 +85,7 @@ class Package:
         self._memo_op: dict[tuple, Edge] = {}
         self._memo_add: dict = {}
         self._memo_mul: dict = {}
-        # owner -> its dict keyed by node ids (see node_table); dropped on gc
+        # owner -> its dict keyed by node ids (see node_table); emptied on gc
         self._node_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.peak_nodes = 0
         self.gc_runs = 0
@@ -628,7 +628,7 @@ class Package:
 
         Every node the roots cannot reach, vector or matrix, is reclaimed and
         leaves ``_identity``; the operator memo, the compute tables and the
-        node tables are dropped (operand ids may be reused), and weight-table
+        node tables are emptied (operand ids may be reused), and weight-table
         entries no longer referenced by live nodes or roots are released.  Reachable
         diagrams are untouched: their edges stay valid and mean the same
         vectors.  Any other edge, an operator diagram from :meth:`matrix_dd`
@@ -648,7 +648,8 @@ class Package:
         self._memo_op.clear()
         self._memo_add.clear()
         self._memo_mul.clear()
-        self._node_tables.clear()
+        for table in self._node_tables.values():
+            table.clear()
         live_w = {w for w, _ in roots}
         for entry in self._table:
             live_w.update(entry[1::2])
@@ -657,11 +658,12 @@ class Package:
         return reclaimed
 
     def node_table(self, owner) -> dict:
-        """``owner``'s dict for results keyed by this package's node ids,
-        kept while ``owner`` lives (the package holds it weakly).  Node ids
-        are reused after a collection, so :meth:`gc` drops every such dict:
-        fetch it again after anything that may collect, and store a key
-        taken before a collection nowhere."""
+        """``owner``'s dict for results keyed by, or holding, this package's
+        node ids, kept while ``owner`` lives (the package holds it weakly).
+        Node ids are reused after a collection, so :meth:`gc` empties every
+        such dict in place: a dict held across a collection never answers
+        from a freed id, but a key taken before the collection must be
+        stored nowhere after it."""
         table = self._node_tables.get(owner)
         if table is None:
             table = self._node_tables[owner] = {}

@@ -20,9 +20,13 @@ stack of prefix states per block, so a path resumes from the prefix it
 shares with the previous one and folds only the segments after it.  A
 prefix whose state is zero in either block answers every path under it
 with the zero edge, without folding.  The decision factors project, so
-many prefixes reach the same block node past a decision: the walk record
-also keeps, per block, a table of the segment folds it has made from
-each such node, and answers a repeat by rescaling the stored end state.
+many prefixes reach the same block node before or past a decision: the
+walk record also keeps, per block, a table of the segment folds it has
+made from each such node, keyed by the node before the segment's factor
+and by the node past it, and answers a repeat by rescaling the stored end
+state.  In the same table it keeps the block's operator diagrams, keyed
+by segment, op and digit, so an operator is built once per digit until
+the block's package next collects garbage, not once per application.
 
 Both modes run one driver, ``_run_paths``, which hands the two block states
 of each path whose blocks are both non-zero to a "summer".  Each worker
@@ -219,55 +223,100 @@ class _Walk:
     state after its segments ``0..s``, so each stack is one longer than
     ``digits`` once the walk has started.  Both stacks stop growing at the
     first zero state in either block.  A record serves one pair of block
-    packages and one classification.
+    packages, and ``cls``, the classification of its first path.
 
-    The record also keeps one fold table per block, its node table in the
-    block's package (:meth:`Package.node_table`).  Past its opening
-    decision factor a segment holds only gates, which do not depend on the
-    digit, and a fold is linear, so a segment folded from ``(w, node)``
-    ends on the same node as a fold from any other weight on ``node``, with
-    its weight scaled.  A table maps ``(s, node)`` to the start weight and
-    end edge of the first fold of segment ``s`` past its factor from
-    ``node``.  The package drops the table at its next garbage collection,
-    since node ids are then reused, so it never holds more entries than the
-    block's folds since then.  ``fold_hits`` counts the folds the tables
-    answered.
+    Each block's ops are made once per record, each with its key
+    ``(s, i, d)``: op ``i`` of segment ``s``, where ``d`` is the digit of
+    the segment's opening decision factor (``i == 0``, ``s > 0``) and
+    ``None`` for a gate.  The record keeps one table per block, its node
+    table in the block's package (:meth:`Package.node_table`), which the
+    package empties at each garbage collection.  It is the operator table
+    that :func:`~qcdd.schrodinger.apply_ops` reads the walk's operator
+    diagrams from, so an op is built once per digit between collections,
+    and the fold table, under 2-tuple keys:
+
+    - ``(s, node)``: past its opening factor a segment holds only gates,
+      which do not depend on the digit, and a fold is linear, so a segment
+      folded from ``(w, node)`` ends on the same node as a fold from any
+      other weight on ``node``, with its weight scaled;
+    - ``((s, d), node)``: likewise from the state before the factor of
+      digit ``d``, so a repeat applies not even the factor.
+
+    Each maps to the start weight and end edge of the first such fold.
+    ``fold_hits`` counts the folds the table answered, on either key.
     """
 
     def __init__(self, pkg_upper: Package, pkg_lower: Package):
         self.packages = (pkg_upper, pkg_lower)
+        self.cls: Classification | None = None
         self.digits: tuple[int, ...] = ()
         self.stacks: tuple[list[Edge], list[Edge]] = ([], [])
+        self.tables = (pkg_upper.node_table(self), pkg_lower.node_table(self))
+        self.gates: list[list[list[tuple]]] = []
+        self.factors: list[list[list[list[tuple]]]] = []
         self.fold_hits = 0
 
-    def fold(self, b: int, n: int, ops: Iterator[tuple], check_norm: bool) -> Edge:
-        """Block ``b``'s (0 upper, 1 lower) state after its next segment on
-        ``n`` qubits, whose ops on this path are ``ops``: segment 0 from
-        |0...0>, a later one from the top of the block's stack.  Past the
-        segment's decision factor, a zero state is the end state, and the
-        fold table answers a state whose node it holds for that segment;
-        otherwise the rest is folded, and stored unless the package
-        collected garbage meanwhile: the start state is no gc root during
-        the rest of the fold, so its node id may have been reused."""
-        pkg, stack = self.packages[b], self.stacks[b]
-        s = len(stack)
+    def serve(self, cls: Classification):
+        """Bind the record to ``cls`` and make each block's keyed ops:
+        ``gates[b][s]``, segment ``s``'s ops past its factor, and
+        ``factors[b][s][d]``, its factor of digit ``d`` as a one-op list."""
+        self.cls = cls
+        for segments in (cls.upper_segments, cls.lower_segments):
+            self.gates.append([
+                [(qs, m, True, (s, i, None)) for i, (qs, m, j) in enumerate(segment) if j is None]
+                for s, segment in enumerate(segments)
+            ])
+            # segment s > 0 opens with the factors of decision s - 1
+            self.factors.append([[]] + [
+                [[(qs, f, False, (s, 0, d))] for d, f in enumerate(factors)]
+                for s, [(qs, factors, _), *_gates] in enumerate(segments[1:], 1)
+            ])
+
+    def fold(self, b: int, n: int, s: int, path: tuple[int, ...], check_norm: bool) -> Edge:
+        """Block ``b``'s (0 upper, 1 lower) state on ``n`` qubits after its
+        segment ``s`` on ``path``: segment 0 from |0...0>, a later one from
+        the top of the block's stack.  A later segment is answered from the
+        fold table when the table holds its start node for the segment and
+        digit.  Otherwise its factor is applied; a zero state is then the
+        end state, and a state whose node the table holds for the segment
+        is answered from it; any other is folded through the rest.  The
+        pre-factor entry is always stored, since the start state is on the
+        stack, a gc root; the post-factor one only if the package collected
+        no garbage during the rest of the fold, since that state is no root
+        there, so its node id may have been reused."""
+        pkg, stack, table = self.packages[b], self.stacks[b], self.tables[b]
+        gates = self.gates[b][s]
         if not s:
-            return apply_ops(pkg, n, ops, check_norm, None, stack)
-        start = apply_ops(pkg, n, [next(ops)], check_norm, stack[-1], stack)
-        if start == ZERO_EDGE:
-            return start
-        table = pkg.node_table(self)
-        key = (s, start[1])
-        hit = table.get(key)
+            return apply_ops(pkg, n, gates, check_norm, None, stack, table)
+        d = path[s - 1]
+        w, node = stack[-1]
+        pre = ((s, d), node)
+        hit = table.get(pre)
         if hit is not None:
             self.fold_hits += 1
-            w, (end_w, end_t) = hit
-            return pkg._intern((end_w * (start[0] / w), end_t))
-        gc_runs = pkg.gc_runs
-        end = apply_ops(pkg, n, ops, check_norm, start, stack)
-        if pkg.gc_runs == gc_runs:
-            table[key] = start[0], end
+            return _rescale(pkg, hit, w)
+        start = apply_ops(pkg, n, self.factors[b][s][d], check_norm, stack[-1], stack, table)
+        if start == ZERO_EDGE:
+            end = start
+        else:
+            post = (s, start[1])
+            hit = table.get(post)
+            if hit is not None:
+                self.fold_hits += 1
+                end = _rescale(pkg, hit, start[0])
+            else:
+                gc_runs = pkg.gc_runs
+                end = apply_ops(pkg, n, gates, check_norm, start, stack, table)
+                if pkg.gc_runs == gc_runs:
+                    table[post] = start[0], end
+        table[pre] = w, end
         return end
+
+
+def _rescale(pkg: Package, entry: tuple[complex, Edge], w: complex) -> Edge:
+    """A fold table entry's end edge for a fold from weight ``w``."""
+    ref, (end_w, end_t) = entry
+    return pkg._intern((end_w * (w / ref), end_t))
 
 
 def simulate_path(
@@ -286,16 +335,18 @@ def simulate_path(
     The path resumes from the longest prefix it shares with ``walk`` (a
     fresh record when ``None``) and folds only the segments after it, both
     blocks one decision at a time, pushing each prefix state on the
-    record.  A segment whose state past its decision factor sits on a node
-    the record has already folded that segment from is not folded again:
-    the stored end state is rescaled (see :class:`_Walk`).  With
-    ``check_norm`` such a hit is not checked again; it repeats a fold that
-    passed the check, and the norm scales with the weight.  Once either
-    block's prefix state is zero, the path, and every later path under that
-    prefix, returns the zero edge for both blocks without folding.  Each
-    package may collect garbage during a fold, with its block state and the
-    record's stack as roots, so a block state from an earlier call must not
-    be needed after this one."""
+    record.  A segment whose state before or past its decision factor sits
+    on a node the record has already folded that segment from is not
+    folded again: the stored end state is rescaled (see :class:`_Walk`).
+    With ``check_norm`` such a hit is not checked again; it repeats a fold
+    that passed the check, and the norm scales with the weight.  Once
+    either block's prefix state is zero, the path, and every later path
+    under that prefix, returns the zero edge for both blocks without
+    folding.  Each package may collect garbage during a fold, with its
+    block state and the record's stack as roots, so a block state from an
+    earlier call must not be needed after this one.  A record serves the
+    packages and the classification (``cls`` as given, or made here) of
+    its first path; handed other ones, this raises ``ValueError``."""
     if pkg_upper is pkg_lower:
         raise ValueError("the two blocks need two different packages")
     if cls is None:
@@ -309,8 +360,12 @@ def simulate_path(
         walk = _Walk(pkg_upper, pkg_lower)
     elif walk.packages[0] is not pkg_upper or walk.packages[1] is not pkg_lower:
         raise ValueError("the walk record belongs to other packages")
+    if walk.cls is None:
+        walk.serve(cls)
+    elif walk.cls is not cls:
+        raise ValueError("the walk record serves another classification")
     k = partition.cut
-    blocks = ((circuit.n - k, cls.upper_segments), (k, cls.lower_segments))
+    widths = (circuit.n - k, k)
     upper, lower = walk.stacks
     shared = 0
     while shared < len(walk.digits) and walk.digits[shared] == path[shared]:
@@ -322,19 +377,10 @@ def simulate_path(
         s = len(upper)
         if s > len(path):
             return upper[-1], lower[-1]
-        ends = [
-            walk.fold(b, n, _path_ops(segs[s], path), check_norm)
-            for b, (n, segs) in enumerate(blocks)
-        ]
+        ends = [walk.fold(b, n, s, path, check_norm) for b, n in enumerate(widths)]
         upper.append(ends[0])
         lower.append(ends[1])
         walk.digits = path[:s]
-
-
-def _path_ops(segment: list[tuple], path: tuple[int, ...]):
-    """A segment's ``(qubits, matrix, unitary)`` ops on one path: a decision
-    contributes the factor its digit selects."""
-    return ((qs, m if j is None else m[path[j]], j is None) for qs, m, j in segment)
 
 
 @dataclass

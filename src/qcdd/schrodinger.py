@@ -6,7 +6,9 @@ the reference engine the cutting engines are checked against, and its fold,
 
 The runs are fused once, where an op list is made (:func:`fuse_runs`, which
 :func:`simulate` and :func:`qcdd.hybrid.classify` call); :func:`apply_ops`
-only cuts a fused run short when the package is near its gc limit."""
+only cuts a fused run short when the package is near its gc limit.  A
+caller that applies the same ops many times, as the cutting engines' walk
+does, keys them and hands :func:`apply_ops` a table of their diagrams."""
 
 from __future__ import annotations
 
@@ -56,6 +58,7 @@ def apply_ops(
     check_norm: bool = False,
     start: Edge | None = None,
     roots: Iterable[Edge] = (),
+    operators: dict | None = None,
 ) -> Edge:
     """Fold ``(qubits, matrix, unitary)`` ops into ``start``, by default
     |0...0> on ``n`` qubits, one operator per op.
@@ -70,11 +73,23 @@ def apply_ops(
     keeps the norm, which starts as the start state's; an operator with a
     non-unitary op (a decision factor, which projects; a piece counts as
     one when its run does) sets the norm the following ones must keep.
+
+    ``operators``, a node table of ``pkg`` (:meth:`Package.node_table`),
+    holds the operator diagrams of ops that carry a hashable key as a
+    fourth element: such an op (a piece of a fused run: its key with the
+    piece's bounds) is built by :meth:`Package.matrix_dd` only when the
+    table lacks it, and stored there.  The package empties the table at
+    each collection, so it never answers with a swept diagram.
     """
     state = pkg.make_basis_state(n, "0" * n) if start is None else start
     expected = pkg.norm(state) if check_norm else 1.0
-    for i, (qubits, matrix, unitary) in enumerate(_pieces(pkg, ops)):
-        state = pkg.multiply(pkg.matrix_dd(n, qubits, matrix), state)
+    for i, (qubits, matrix, unitary, key) in enumerate(_pieces(pkg, ops)):
+        op = None if operators is None else operators.get(key)
+        if op is None:
+            op = pkg.matrix_dd(n, qubits, matrix)
+            if operators is not None and key is not None:
+                operators[key] = op
+        state = pkg.multiply(op, state)
         if check_norm:
             nrm = pkg.norm(state)
             if not unitary:
@@ -88,19 +103,22 @@ def apply_ops(
 
 
 def _pieces(pkg: Package, ops: Iterable[tuple]) -> Iterator[tuple]:
-    """``ops`` as the operators :func:`apply_ops` applies: a fused run in
-    pieces of at most the bound, any other op as it is.  Lazy, so each
-    piece's bound is taken from the package after the operators before it
-    have been applied."""
-    for qubits, matrix, unitary in ops:
+    """``ops`` as the operators :func:`apply_ops` applies, each with its key
+    (``None`` for an op without one): a fused run in pieces of at most the
+    bound, keyed ``(key, start, stop)``, any other op as it is.  Lazy, so
+    each piece's bound is taken from the package after the operators
+    before it have been applied."""
+    for qubits, matrix, unitary, *key in ops:
+        key = key[0] if key else None
         if np.ndim(matrix) != 3:
-            yield qubits, matrix, unitary
+            yield qubits, matrix, unitary, key
             continue
-        pos = 0
-        while pos < len(qubits):
-            cap = max(1, pkg.gc_limit // (2 * max(1, pkg.live_nodes())))
-            yield qubits[pos : pos + cap], matrix[pos : pos + cap], unitary
-            pos += cap
+        pos, m = 0, len(qubits)
+        while pos < m:
+            stop = min(m, pos + max(1, pkg.gc_limit // (2 * max(1, pkg.live_nodes()))))
+            piece = (qubits, matrix) if stop - pos == m else (qubits[pos:stop], matrix[pos:stop])
+            yield *piece, unitary, None if key is None else (key, pos, stop)
+            pos = stop
 
 
 def simulate(circuit: Circuit, pkg: Package, *, check_norm: bool = False) -> Edge:

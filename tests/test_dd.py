@@ -751,11 +751,13 @@ def test_node_tables_last_until_gc_per_owner():
 
     pkg = Package()
     a, b = Owner(), Owner()
-    pkg.node_table(a)[1] = "a"
+    held = pkg.node_table(a)
+    held[1] = "a"
     assert pkg.node_table(a) == {1: "a"} and pkg.node_table(b) == {}
     pkg.gc()
-    # node ids are reused after a collection, so no table survives one
-    assert pkg.node_table(a) == {}
+    # node ids are reused after a collection, so no entry survives one, not
+    # even in a table held across it
+    assert held == {} and pkg.node_table(a) is held
     pkg.node_table(b)[1] = "b"
     del b
     # the package holds its owners weakly, and a copy starts without tables

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from random import Random
 
 import numpy as np
@@ -721,6 +722,151 @@ def test_walk_folds_a_repeated_segment_once(monkeypatch):
     assert res.stats["zero_paths"] == 0 and res.stats["fold_hits"] > 0
     assert calls < once_per_prefix
     assert np.abs(res.vector - dense_simulate(c)).max() < 1e-12
+
+
+def test_walk_record_serves_one_classification(fig4):
+    # the record's stacks and tables hold one classification's states and
+    # operators; handed another, it must not fold from them
+    import qcdd.hybrid as hybrid_mod
+
+    p = Partition(2)
+    other = Circuit(4, fig4.gates + (Gate("x", targets=(3,)),))
+    up, lo = Package(), Package()
+    walk = hybrid_mod._Walk(up, lo)
+    simulate_path(fig4, p, (0, 0), up, lo, classify(fig4, p), walk=walk)
+    with pytest.raises(ValueError, match="another classification"):
+        simulate_path(other, p, (0, 1), up, lo, classify(other, p), walk=walk)
+
+
+def _rotation_circuit(n, depth, seed):
+    """Random-angle rotations with random cz/cp pairs: no two ops of a block,
+    nor two pieces of its fused runs, have the same matrix on the same
+    qubits unless they are the same gates or the same decision factor."""
+    rng = Random(seed)
+    gates = []
+    for _ in range(depth):
+        for q in range(n):
+            gates.append(Gate("r" + rng.choice("xyz"), (rng.uniform(-3, 3),), targets=(q,)))
+        a, b = rng.sample(range(n), 2)
+        kind = rng.choice(["cz", "cp"])
+        gates.append(Gate(kind, (rng.uniform(-3, 3),) if kind == "cp" else (), (a,), (b,)))
+    return Circuit(n, tuple(gates))
+
+
+def _block_op_counts(cls):
+    """Per block (upper, lower), how many (segment, op, digit) of the
+    classification have each (qubits, matrix bytes)."""
+    out = []
+    for segments in (cls.upper_segments, cls.lower_segments):
+        counts = Counter()
+        for segment in segments:
+            for qs, m, j in segment:
+                for f in [m] if j is None else m:
+                    counts[tuple(qs), np.asarray(f, dtype=complex).tobytes()] += 1
+        out.append(counts)
+    return out
+
+
+@pytest.mark.parametrize("gc_limit", [40, 150, 250])
+def test_walk_builds_each_operator_once_between_collections(monkeypatch, gc_limit):
+    # small limits collect inside segments and between them; the operator
+    # table must then drop its diagrams and build each at most once again
+    import qcdd.hybrid as hybrid_mod
+
+    c, p = _rotation_circuit(6, 6, 3), Partition(3)
+    cls = classify(c, p)
+    assert 16 <= cls.path_count <= 256
+    up, lo = Package(gc_limit=gc_limit), Package(gc_limit=gc_limit)
+    calls = Counter()
+    matrix_dd = Package.matrix_dd
+
+    def counted(pkg, n, qubits, base):
+        if pkg is up or pkg is lo:
+            content = tuple(qubits), np.asarray(base, dtype=complex).tobytes()
+            calls[pkg is lo, pkg.gc_runs, content] += 1
+        return matrix_dd(pkg, n, qubits, base)
+
+    monkeypatch.setattr(Package, "matrix_dd", counted)
+    walk = hybrid_mod._Walk(up, lo)
+    fresh = hybrid_mod._Walk(Package(), Package())
+    acc = np.zeros(1 << c.n, dtype=complex)
+    for i in range(cls.path_count):
+        digits = path_digits(cls.decisions, i)
+        got = _path_term(c, p.cut, up, lo, simulate_path(c, p, digits, up, lo, cls, walk=walk))
+        edges = simulate_path(c, p, digits, *fresh.packages, cls, walk=fresh)
+        assert np.abs(got - _path_term(c, p.cut, *fresh.packages, edges)).max() < 1e-12
+        acc += got
+    assert np.abs(acc - dense_simulate(c)).max() < 1e-12
+    assert up.gc_runs > 1 and lo.gc_runs > 1
+    # a piece of a cut run matches no op of the block, so it may be built once
+    allowed = _block_op_counts(cls)
+    for (b, _, content), k in calls.items():
+        assert k <= max(1, allowed[b][content])
+
+
+# the lower block's qubit 0 stays |0>, on which both lower factors of a cz
+# (I and Z) act alike, so the lower state before decision 1 sits on one
+# node whichever digit decision 0 took
+PRE_REPEATS = Circuit(4, (
+    Gate("h", targets=(2,)),
+    Gate("cz", controls=(2,), targets=(0,)),
+    Gate("rx", (0.4,), targets=(1,)),
+    Gate("h", targets=(2,)),
+    Gate("cz", controls=(2,), targets=(0,)),
+    Gate("ry", (0.9,), targets=(1,)),
+))
+
+
+def test_walk_answers_a_repeated_state_before_its_factor(monkeypatch):
+    import qcdd.hybrid as hybrid_mod
+
+    c, p = PRE_REPEATS, Partition(2)
+    cls = classify(c, p)
+    assert cls.path_count == 4
+    folds = []  # (block, segment, digits, multiply calls, fold hits) per fold
+    multiplies = 0
+    multiply = Package.multiply
+    fold = hybrid_mod._Walk.fold
+
+    def counted_multiply(pkg, m, v):
+        nonlocal multiplies
+        multiplies += 1
+        return multiply(pkg, m, v)
+
+    def recording(walk, b, n, s, path, check_norm):
+        before, hits = multiplies, walk.fold_hits
+        end = fold(walk, b, n, s, path, check_norm)
+        folds.append((b, s, path, multiplies - before, walk.fold_hits - hits))
+        return end
+
+    monkeypatch.setattr(Package, "multiply", counted_multiply)
+    monkeypatch.setattr(hybrid_mod._Walk, "fold", recording)
+    res = run_hybrid_amp(c, p, workers=1)
+    assert np.abs(res.vector - dense_simulate(c)).max() < 1e-12
+    lower_last = {path: (calls, hits) for b, s, path, calls, hits in folds if (b, s) == (1, 2)}
+    # the first prefix folds the segment, factor included; the second one
+    # reaches the same node before the factor and applies nothing
+    assert lower_last[0, 0][0] > 0 and lower_last[0, 1][0] > 0
+    assert lower_last[1, 0] == (0, 1) and lower_last[1, 1] == (0, 1)
+    assert res.stats["fold_hits"] == sum(hits for *_, hits in folds)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_check_norm_passes_on_mixed_circuits(seed):
+    from test_acceptance import mixed_random_circuit
+
+    import qcdd.hybrid as hybrid_mod
+
+    c = mixed_random_circuit(6, 4, seed)
+    p = default_partition(c.n)
+    cls = classify(c, p)
+    walk = hybrid_mod._Walk(Package(), Package())
+    acc = np.zeros(1 << c.n, dtype=complex)
+    for i in range(cls.path_count):
+        digits = path_digits(cls.decisions, i)
+        edges = simulate_path(c, p, digits, *walk.packages, cls, check_norm=True, walk=walk)
+        acc += _path_term(c, p.cut, *walk.packages, edges)
+    assert np.abs(acc - dense_simulate(c)).max() < 1e-12
 
 
 def test_amp_extracts_each_block_node_once(monkeypatch):
