@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -52,6 +53,14 @@ def tolerance(text: str) -> float:
         return check_tolerance(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def deviation_bound(text: str) -> float:
+    """Argument type of ``--tol-verify``: a finite float of at least 0."""
+    bound = float(text)
+    if not 0 <= bound < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite bound of at least 0, got {text}")
+    return bound
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -107,7 +116,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     ver_p = sub.add_parser("verify", help="cross-check all engines and the oracle")
     add_circuit_args(ver_p)
     ver_p.add_argument("--dense-cap", type=int, default=14, help="max qubits for the dense oracle")
-    ver_p.add_argument("--tol-verify", type=float, default=1e-9,
+    ver_p.add_argument("--tol-verify", type=deviation_bound, default=1e-9,
                        help="max allowed elementwise deviation")
 
     ben_p = sub.add_parser("bench", help="time engines over a circuit family")
@@ -238,23 +247,23 @@ def verify_circuit(circuit: Circuit, args) -> int:
         skipped["hybrid-dd"] = skipped["hybrid-amp"] = "cannot cut a 1-qubit register"
     ref_name = "dense" if "dense" in results else "schrodinger"
     ref = results[ref_name]
-    ok = True
-    worst = (0.0, ref_name, 0)
+    failed = []  # (max deviation, engine, basis index) of each engine that fails
     for name, vec in results.items():
         dev = np.abs(vec - ref)
         max_dev = float(dev.max()) if len(dev) else 0.0
         fid = abs(np.vdot(ref, vec)) / (np.linalg.norm(ref) * np.linalg.norm(vec) or 1.0)
-        status = "PASS" if max_dev <= args.tol_verify else "FAIL"
-        if max_dev > worst[0]:
-            worst = (max_dev, name, int(dev.argmax()))
-        if max_dev > args.tol_verify:
-            ok = False
+        # a NaN deviation, or a NaN bound, fails: every comparison with NaN is false
+        passed = max_dev <= args.tol_verify
+        if not passed:
+            failed.append((max_dev, name, int(dev.argmax())))
+        status = "PASS" if passed else "FAIL"
         print(f"{status} {name:>12s}: max deviation {max_dev:.3e}  fidelity {fid:.12f}  (vs {ref_name})")
     for name, reason in skipped.items():
         print(f"SKIP {name:>12s}: {reason}")
-    if not ok:
-        bits = format(worst[2], f"0{n}b")
-        print(f"worst offender: engine {worst[1]}, basis |{bits}>, deviation {worst[0]:.3e}")
+    if failed:
+        dev, name, index = max(failed, key=lambda f: math.inf if math.isnan(f[0]) else f[0])
+        bits = format(index, f"0{n}b")
+        print(f"worst offender: engine {name}, basis |{bits}>, deviation {dev:.3e}")
         return EXIT_VERIFY
     return EXIT_OK
 

@@ -39,9 +39,11 @@ The factor form has one node per level, however many qubits it acts on, so
 a layer of one-qubit gates is one operator and one ``multiply``.
 
 A :class:`Package` owns the unique table, the memoization caches, and the
-weight table, and is strictly single-writer.  Operator diagrams are
-memoized by content until the next garbage collection, which sweeps matrix
-nodes like vector nodes and drops that memo with the compute tables.
+weight table, and is strictly single-writer.  ``matrix_dd`` builds anew on
+every call; the one operator cache is
+:func:`qcdd.schrodinger.apply_ops`'s, kept in the package under the ops'
+content keys until the next garbage collection, which sweeps matrix nodes
+like vector nodes and drops that cache with the compute tables.
 The table records its identity matrix nodes, and ``multiply`` stops at
 them, so a gate costs work only down to its lowest operand.
 Parallel simulation runs one package per block per worker and never shares
@@ -80,8 +82,9 @@ class Package:
         # ids of the identity matrix nodes, at most one per level: diagonal
         # successors (ONE, t) with t the terminal or an identity, zeros elsewhere
         self._identity: set[int] = set()
-        # (n, qubits, matrix bytes) -> operator diagram, and the compute
-        # tables of raw-weight results; all dropped wholesale on gc
+        # (n, op content key) -> operator diagram, read and written only by
+        # schrodinger.apply_ops, and the compute tables of raw-weight
+        # results; all dropped wholesale on gc
         self._memo_op: dict[tuple, Edge] = {}
         self._memo_add: dict = {}
         self._memo_mul: dict = {}
@@ -544,10 +547,9 @@ class Package:
         value that looks up as ZERO gives the zero edge), and each operand
         level joins four sub-blocks, zero blocks included.
 
-        Memoized by content, under ``(n, qubits, matrix bytes)``, until the
-        next :meth:`gc`, so a reused package never returns a stale diagram;
-        like any edge that is not a gc root, the returned one is invalid
-        after a collection.
+        Every call builds; :func:`~qcdd.schrodinger.apply_ops` caches the
+        diagrams it applies.  Like any edge that is not a gc root, the
+        returned one is invalid after a collection.
         """
         m = len(qubits)
         base = np.asarray(base, dtype=complex)
@@ -560,11 +562,6 @@ class Package:
             raise ValueError(f"operand {qubits} out of range for n={n}")
         if factors and len(set(qubits)) != m:
             raise ValueError(f"factors on repeated qubits {qubits}")
-        # the two forms' byte counts differ for every m but 1, where they agree
-        key = (n, tuple(qubits), base.tobytes())
-        e = self._memo_op.get(key)
-        if e is not None:
-            return e
         lookup = self.weights.lookup
         diagonal = self._diagonal
         if factors:
@@ -578,8 +575,7 @@ class Package:
                     w, t = e
                     (a, b), (c, d) = f
                     e = self.make_matrix_node(level, [(lookup(x) * w, t) for x in (a, b, c, d)])
-            e = self._memo_op[key] = self._intern(e)
-            return e
+            return self._intern(e)
         order = sorted(range(m), key=lambda i: -qubits[i])
         if order != list(range(m)):
             t = base.reshape((2,) * (2 * m))
@@ -607,8 +603,7 @@ class Package:
                 e = diagonal(level, e)
             return e
 
-        e = self._memo_op[key] = build(n - 1, 0, 0, 0, 1 << m)
-        return e
+        return build(n - 1, 0, 0, 0, 1 << m)
 
     def _diagonal(self, level: int, e: Edge) -> Edge:
         """The edge of the node at ``level`` that repeats ``e`` on its
@@ -627,7 +622,7 @@ class Package:
         """Mark-and-sweep from the given roots.
 
         Every node the roots cannot reach, vector or matrix, is reclaimed and
-        leaves ``_identity``; the operator memo, the compute tables and the
+        leaves ``_identity``; the operator cache, the compute tables and the
         node tables are emptied (operand ids may be reused), and weight-table
         entries no longer referenced by live nodes or roots are released.  Reachable
         diagrams are untouched: their edges stay valid and mean the same
@@ -670,7 +665,7 @@ class Package:
         return table
 
     def maybe_gc(self, roots: Iterable[Edge] = ()) -> int:
-        """Run :meth:`gc` when the nodes and every cache, the operator memo
+        """Run :meth:`gc` when the nodes and every cache, the operator cache
         included, together have outgrown ``gc_limit``."""
         pressure = (
             self.live_nodes() + len(self._memo_op) + len(self._memo_add)

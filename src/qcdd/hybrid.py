@@ -24,15 +24,15 @@ many prefixes reach the same block node before or past a decision: the
 walk record also keeps, per block, a table of the segment folds it has
 made from each such node, keyed by the node before the segment's factor
 and by the node past it, and answers a repeat by rescaling the stored end
-state.  In the same table it keeps the block's operator diagrams, keyed
-by segment, op and digit, so an operator is built once per digit until
-the block's package next collects garbage, not once per application.
+state.  The ops carry content keys from ``classify``, so ``apply_ops``
+builds each distinct gate or decision factor once per block package until
+that package next collects garbage, not once per application.
 
 Both modes run one driver, ``_run_paths``, which hands the two block states
 of each path whose blocks are both non-zero to a "summer".  Each worker
 keeps one package per block and one walk record for all of its paths, so
-the prefix states, the operator diagrams and the compute tables stay warm
-from one path to the next.
+the prefix states, the fold tables, the operator diagrams and the compute
+tables stay warm from one path to the next.
 ``run_hybrid_amp`` writes each path's two block arrays as rows of one
 shared mapping and forms the state as one matrix product of all the rows
 (``_AmpSum``); a block node is extracted once, and a later row on the same
@@ -111,21 +111,19 @@ class Classification:
     ``lower_segments``/``upper_segments`` are each block's ops in circuit
     order, in block-local qubits, split at the decisions: segment 0 holds
     the gates before decision 0, and segment ``j + 1`` opens with decision
-    ``j`` and holds the gates up to the next decision.  The gates are
-    fused as the segments are made (:func:`~qcdd.schrodinger.fuse_runs`):
-    an op is ``(qubits, matrix, None)`` for a gate on several qubits,
-    ``(qubits, factors, None)`` for a run of one-qubit gates on distinct
-    qubits, with their ``(m, 2, 2)`` stacked matrices, or
-    ``((qubit,), factors, j)`` for decision ``j``, where ``factors[d]`` is
-    the block's 2x2 factor of term ``d``.  A decision stays an op of its
-    own, since the walk applies it alone.
+    ``j`` and holds the gates up to the next decision.  A segment is a pair
+    ``(factors, gates)`` of ops ready for :func:`~qcdd.schrodinger.apply_ops`,
+    content-keyed as :func:`~qcdd.schrodinger.fuse_runs` makes them:
+    ``factors[d]`` is the block's one-qubit factor op of its opening
+    decision's term ``d`` (non-unitary; none in segment 0), and ``gates``
+    the segment's gates with their runs of one-qubit gates fused.
     """
 
     lower: list[int]
     upper: list[int]
     decisions: list[DecisionPoint]
-    lower_segments: list[list[tuple]]
-    upper_segments: list[list[tuple]]
+    lower_segments: list[tuple[tuple, list[tuple]]]
+    upper_segments: list[tuple[tuple, list[tuple]]]
 
     @property
     def path_count(self) -> int:
@@ -177,29 +175,27 @@ def classify(circuit: Circuit, partition: Partition) -> Classification:
     lower: list[int] = []
     upper: list[int] = []
     decisions: list[DecisionPoint] = []
-    lower_segments: list[list[tuple]] = [[]]
-    upper_segments: list[list[tuple]] = [[]]
+    lower_segments: list = [((), [])]
+    upper_segments: list = [((), [])]
     for i, g in enumerate(circuit.gates):
         qs = g.qubits
         lo = any(q < k for q in qs)
         hi = any(q >= k for q in qs)
         if lo and hi:
             dp = schmidt_terms(g, partition, i)
-            j = len(decisions)
             decisions.append(dp)
-            upper_segments.append([((dp.upper_qubit - k,), tuple(t[0] for t in dp.terms), j)])
-            lower_segments.append([((dp.lower_qubit,), tuple(t[1] for t in dp.terms), j)])
+            # on one qubit no two factors fuse: each stays an op of its own
+            for segments, q, factors in zip((upper_segments, lower_segments),
+                                            (dp.upper_qubit - k, dp.lower_qubit), zip(*dp.terms)):
+                segments.append((tuple(fuse_runs(((q,), f, False) for f in factors)), []))
         elif lo:
             lower.append(i)
-            lower_segments[-1].append((qs, g.operator(), None))
+            lower_segments[-1][1].append((qs, g.operator(), True))
         else:
             upper.append(i)
-            upper_segments[-1].append((tuple(q - k for q in qs), g.operator(), None))
+            upper_segments[-1][1].append((tuple(q - k for q in qs), g.operator(), True))
     for segments in (lower_segments, upper_segments):
-        for s, segment in enumerate(segments):
-            # fuse the gates; a segment's opening decision stays an op of its own
-            first = 1 if s else 0
-            segment[first:] = [(qs, m, None) for qs, m, _ in fuse_runs(segment[first:])]
+        segments[:] = [(factors, fuse_runs(gates)) for factors, gates in segments]
     return Classification(lower, upper, decisions, lower_segments, upper_segments)
 
 
@@ -223,17 +219,12 @@ class _Walk:
     state after its segments ``0..s``, so each stack is one longer than
     ``digits`` once the walk has started.  Both stacks stop growing at the
     first zero state in either block.  A record serves one pair of block
-    packages, and ``cls``, the classification of its first path.
+    packages, and ``cls``, the classification of its first path, whose
+    segment positions key its tables.
 
-    Each block's ops are made once per record, each with its key
-    ``(s, i, d)``: op ``i`` of segment ``s``, where ``d`` is the digit of
-    the segment's opening decision factor (``i == 0``, ``s > 0``) and
-    ``None`` for a gate.  The record keeps one table per block, its node
-    table in the block's package (:meth:`Package.node_table`), which the
-    package empties at each garbage collection.  It is the operator table
-    that :func:`~qcdd.schrodinger.apply_ops` reads the walk's operator
-    diagrams from, so an op is built once per digit between collections,
-    and the fold table, under 2-tuple keys:
+    The record keeps one fold table per block, its node table in the
+    block's package (:meth:`Package.node_table`), which the package empties
+    at each garbage collection.  Its keys are:
 
     - ``(s, node)``: past its opening factor a segment holds only gates,
       which do not depend on the digit, and a fold is linear, so a segment
@@ -252,25 +243,7 @@ class _Walk:
         self.digits: tuple[int, ...] = ()
         self.stacks: tuple[list[Edge], list[Edge]] = ([], [])
         self.tables = (pkg_upper.node_table(self), pkg_lower.node_table(self))
-        self.gates: list[list[list[tuple]]] = []
-        self.factors: list[list[list[list[tuple]]]] = []
         self.fold_hits = 0
-
-    def serve(self, cls: Classification):
-        """Bind the record to ``cls`` and make each block's keyed ops:
-        ``gates[b][s]``, segment ``s``'s ops past its factor, and
-        ``factors[b][s][d]``, its factor of digit ``d`` as a one-op list."""
-        self.cls = cls
-        for segments in (cls.upper_segments, cls.lower_segments):
-            self.gates.append([
-                [(qs, m, True, (s, i, None)) for i, (qs, m, j) in enumerate(segment) if j is None]
-                for s, segment in enumerate(segments)
-            ])
-            # segment s > 0 opens with the factors of decision s - 1
-            self.factors.append([[]] + [
-                [[(qs, f, False, (s, 0, d))] for d, f in enumerate(factors)]
-                for s, [(qs, factors, _), *_gates] in enumerate(segments[1:], 1)
-            ])
 
     def fold(self, b: int, n: int, s: int, path: tuple[int, ...], check_norm: bool) -> Edge:
         """Block ``b``'s (0 upper, 1 lower) state on ``n`` qubits after its
@@ -285,9 +258,9 @@ class _Walk:
         no garbage during the rest of the fold, since that state is no root
         there, so its node id may have been reused."""
         pkg, stack, table = self.packages[b], self.stacks[b], self.tables[b]
-        gates = self.gates[b][s]
+        factors, gates = (self.cls.upper_segments, self.cls.lower_segments)[b][s]
         if not s:
-            return apply_ops(pkg, n, gates, check_norm, None, stack, table)
+            return apply_ops(pkg, n, gates, check_norm, None, stack)
         d = path[s - 1]
         w, node = stack[-1]
         pre = ((s, d), node)
@@ -295,7 +268,7 @@ class _Walk:
         if hit is not None:
             self.fold_hits += 1
             return _rescale(pkg, hit, w)
-        start = apply_ops(pkg, n, self.factors[b][s][d], check_norm, stack[-1], stack, table)
+        start = apply_ops(pkg, n, factors[d : d + 1], check_norm, stack[-1], stack)
         if start == ZERO_EDGE:
             end = start
         else:
@@ -306,7 +279,7 @@ class _Walk:
                 end = _rescale(pkg, hit, start[0])
             else:
                 gc_runs = pkg.gc_runs
-                end = apply_ops(pkg, n, gates, check_norm, start, stack, table)
+                end = apply_ops(pkg, n, gates, check_norm, start, stack)
                 if pkg.gc_runs == gc_runs:
                     table[post] = start[0], end
         table[pre] = w, end
@@ -361,7 +334,7 @@ def simulate_path(
     elif walk.packages[0] is not pkg_upper or walk.packages[1] is not pkg_lower:
         raise ValueError("the walk record belongs to other packages")
     if walk.cls is None:
-        walk.serve(cls)
+        walk.cls = cls
     elif walk.cls is not cls:
         raise ValueError("the walk record serves another classification")
     k = partition.cut

@@ -5,10 +5,12 @@ the reference engine the cutting engines are checked against, and its fold,
 :func:`apply_ops`, is the one the cutting engines run on each block.
 
 The runs are fused once, where an op list is made (:func:`fuse_runs`, which
-:func:`simulate` and :func:`qcdd.hybrid.classify` call); :func:`apply_ops`
-only cuts a fused run short when the package is near its gc limit.  A
-caller that applies the same ops many times, as the cutting engines' walk
-does, keys them and hands :func:`apply_ops` a table of their diagrams."""
+:func:`simulate` and :func:`qcdd.hybrid.classify` call), and each op carries
+its content key from there.  :func:`apply_ops` is the one reader and writer
+of the package's operator cache, keyed by that content, so an operator is
+built once until the package next collects garbage, however often and
+from wherever it is applied; it cuts a fused run short only when the
+package is near its gc limit."""
 
 from __future__ import annotations
 
@@ -21,12 +23,13 @@ from .dd import Edge, Package
 
 
 def fuse_runs(ops: Iterable[tuple]) -> list[tuple]:
-    """``(qubits, matrix, unitary)`` ops with each maximal run of
-    consecutive one-qubit ops on distinct qubits as one op
-    ``(qubits, factors, unitary)``: ``factors`` stacks their 2x2 matrices
-    as an ``(m, 2, 2)`` array (the factor form of
+    """``(qubits, matrix, unitary)`` ops as ``(qubits, matrix, unitary,
+    key)`` ops, each maximal run of consecutive one-qubit ops on distinct
+    qubits as one op ``(qubits, factors, unitary, key)``: ``factors`` stacks
+    their 2x2 matrices as an ``(m, 2, 2)`` array (the factor form of
     :meth:`Package.matrix_dd`), and ``unitary`` holds only if all of them
-    are.  Any other op passes as it is."""
+    are.  ``key`` is the op's content, its qubits and the bytes of its
+    complex matrix, under which :func:`apply_ops` caches its diagram."""
     out: list[tuple] = []
     run: list[tuple] = []
     for op in ops:
@@ -35,7 +38,7 @@ def fuse_runs(ops: Iterable[tuple]) -> list[tuple]:
             out.append(_stack(run))
             run = []
         if len(qubits) != 1:
-            out.append(op)
+            out.append(_keyed(*op))
             continue
         if not run:
             seen: set[int] = set()
@@ -48,7 +51,13 @@ def fuse_runs(ops: Iterable[tuple]) -> list[tuple]:
 
 def _stack(run: list[tuple]) -> tuple:
     qubits, factors, unitary = zip(*run)
-    return tuple(q for q, in qubits), np.array(factors, dtype=complex), all(unitary)
+    return _keyed(tuple(q for q, in qubits), factors, all(unitary))
+
+
+def _keyed(qubits, matrix, unitary: bool) -> tuple:
+    # the two forms' byte counts differ for every m but 1, where they agree
+    qubits, matrix = tuple(qubits), np.asarray(matrix, dtype=complex)
+    return qubits, matrix, unitary, (qubits, matrix.tobytes())
 
 
 def apply_ops(
@@ -58,37 +67,32 @@ def apply_ops(
     check_norm: bool = False,
     start: Edge | None = None,
     roots: Iterable[Edge] = (),
-    operators: dict | None = None,
 ) -> Edge:
-    """Fold ``(qubits, matrix, unitary)`` ops into ``start``, by default
-    |0...0> on ``n`` qubits, one operator per op.
+    """Fold ops from :func:`fuse_runs` into ``start``, by default |0...0>
+    on ``n`` qubits, one operator per op, so a layer of one-qubit gates
+    walks the state once.
 
-    An op from :func:`fuse_runs` is one Kronecker-product operator, so a
-    layer of one-qubit gates walks the state once.  The package may collect
-    garbage after every operator, with the state and ``roots`` (states the
-    caller still needs) as its vector roots; since it cannot collect inside
-    one, a fused run is cut into pieces of at most
-    ``max(1, gc_limit // (2 * live nodes))`` factors, the bound taken anew
-    before each piece.  ``check_norm`` asserts that every unitary operator
+    An op's diagram is read from the package's operator cache under ``(n,
+    key)``; only when the cache lacks it is it built by
+    :meth:`Package.matrix_dd` and stored there.  The package empties the
+    cache at each collection, so it never answers with a swept diagram.
+    The package may collect garbage after every operator, with the state
+    and ``roots`` (states the caller still needs) as its vector roots;
+    since it cannot collect inside one, a fused run is cut into pieces of at
+    most ``max(1, gc_limit // (2 * live nodes))`` factors, the bound taken
+    anew before each piece, and a cut piece is cached under ``(n, (key,
+    start, stop))``.  ``check_norm`` asserts that every unitary operator
     keeps the norm, which starts as the start state's; an operator with a
     non-unitary op (a decision factor, which projects; a piece counts as
     one when its run does) sets the norm the following ones must keep.
-
-    ``operators``, a node table of ``pkg`` (:meth:`Package.node_table`),
-    holds the operator diagrams of ops that carry a hashable key as a
-    fourth element: such an op (a piece of a fused run: its key with the
-    piece's bounds) is built by :meth:`Package.matrix_dd` only when the
-    table lacks it, and stored there.  The package empties the table at
-    each collection, so it never answers with a swept diagram.
     """
     state = pkg.make_basis_state(n, "0" * n) if start is None else start
     expected = pkg.norm(state) if check_norm else 1.0
+    cache = pkg._memo_op
     for i, (qubits, matrix, unitary, key) in enumerate(_pieces(pkg, ops)):
-        op = None if operators is None else operators.get(key)
+        op = cache.get((n, key))
         if op is None:
-            op = pkg.matrix_dd(n, qubits, matrix)
-            if operators is not None and key is not None:
-                operators[key] = op
+            op = cache[n, key] = pkg.matrix_dd(n, qubits, matrix)
         state = pkg.multiply(op, state)
         if check_norm:
             nrm = pkg.norm(state)
@@ -103,21 +107,22 @@ def apply_ops(
 
 
 def _pieces(pkg: Package, ops: Iterable[tuple]) -> Iterator[tuple]:
-    """``ops`` as the operators :func:`apply_ops` applies, each with its key
-    (``None`` for an op without one): a fused run in pieces of at most the
-    bound, keyed ``(key, start, stop)``, any other op as it is.  Lazy, so
-    each piece's bound is taken from the package after the operators
-    before it have been applied."""
-    for qubits, matrix, unitary, *key in ops:
-        key = key[0] if key else None
+    """``ops`` as the operators :func:`apply_ops` applies: a fused run in
+    pieces of at most the bound, a cut piece keyed ``(key, start, stop)``,
+    any other op as it is.  Lazy, so each piece's bound is taken from the
+    package after the operators before it have been applied."""
+    for op in ops:
+        qubits, matrix, unitary, key = op
         if np.ndim(matrix) != 3:
-            yield qubits, matrix, unitary, key
+            yield op
             continue
         pos, m = 0, len(qubits)
         while pos < m:
             stop = min(m, pos + max(1, pkg.gc_limit // (2 * max(1, pkg.live_nodes()))))
-            piece = (qubits, matrix) if stop - pos == m else (qubits[pos:stop], matrix[pos:stop])
-            yield *piece, unitary, None if key is None else (key, pos, stop)
+            if stop - pos == m:
+                yield op
+            else:
+                yield qubits[pos:stop], matrix[pos:stop], unitary, (key, pos, stop)
             pos = stop
 
 

@@ -328,6 +328,34 @@ def test_verify_failure_exit(capsys):
     assert "worst offender" in out
 
 
+def test_verify_fails_on_a_nan_vector(monkeypatch, capsys):
+    # NaN compares false with any bound, so a deviation of NaN must fail
+    import qcdd.cli as cli_mod
+
+    run_engine = cli_mod._run_engine
+
+    def poisoned(args, circuit, mode):
+        amp, vec_of, record = run_engine(args, circuit, mode)
+        if mode != "hybrid-amp":
+            return amp, vec_of, record
+        vec = vec_of().copy()
+        vec[3] = np.nan
+        return amp, lambda: vec, record
+
+    monkeypatch.setattr(cli_mod, "_run_engine", poisoned)
+    rc = main(["verify", "--random", "4", "2", "0", "0.5", "--workers", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.count("FAIL") == 1 and "FAIL   hybrid-amp" in out
+    assert "worst offender: engine hybrid-amp, basis |0011>" in out
+
+
+@pytest.mark.parametrize("bound", ["nan", "-1", "inf"])
+def test_verify_bound_must_be_finite_and_not_negative(capsys, bound):
+    assert main(["verify", "--random", "4", "2", "0", "0.5", "--tol-verify", bound]) == 2
+    assert "--tol-verify" in capsys.readouterr().err
+
+
 def test_verify_topology_skips_hybrid(capsys):
     # a cross-cut three-qubit gate (programmatic; the parse subset cannot
     # express it): hybrid engines report the topology problem and are

@@ -11,7 +11,7 @@ from qcdd.circuit import (
     generate_random_circuit,
 )
 from qcdd.dd import ONE_EDGE, ZERO_EDGE, Package
-from qcdd.schrodinger import simulate
+from qcdd.schrodinger import apply_ops, fuse_runs, simulate
 from qcdd.weights import ONE, ZERO
 from conftest import FIG_STATE, gate_lists
 
@@ -647,7 +647,7 @@ def test_only_stored_weights_are_interned(n, depth, seed):
     stored = {state[0]}
     for key in pkg._table:
         stored.update(key[1::2])
-    stored.update(w for w, _ in pkg._memo_op.values())
+    stored.update(w for w, _ in pkg._memo_op.values())  # apply_ops' cached operators
     assert len(pkg.weights) <= 3 * len(stored)
 
 
@@ -790,16 +790,19 @@ def test_gc_then_rebuild_reuses_ids():
 
 def test_gc_drops_operator_diagrams():
     # matrix nodes share the vector nodes' table: gc without roots frees
-    # every node and the operator memo, and a rebuilt operator still works
+    # every node and empties the operator cache, and a rebuilt operator
+    # still works; matrix_dd itself caches nothing
     pkg = Package()
     x_low = np.kron(np.eye(2), [[0, 1], [1, 0]]).astype(complex)
-    op = pkg.matrix_dd(3, (2, 0), x_low)
-    pkg.multiply(op, pkg.make_basis_state(3, "000"))
+    pkg.matrix_dd(3, (2, 0), x_low)
+    assert len(pkg._memo_op) == 0
+    ops = fuse_runs([((2, 0), x_low, True)])
+    apply_ops(pkg, 3, ops)
+    assert len(pkg._memo_op) == 1
     pkg.gc()
     assert pkg.live_nodes() == 0
     assert len(pkg._memo_op) == 0
-    op = pkg.matrix_dd(3, (2, 0), x_low)
-    v = pkg.extract_statevector(pkg.multiply(op, pkg.make_basis_state(3, "000")))
+    v = pkg.extract_statevector(apply_ops(pkg, 3, ops))
     assert v[0b001] == 1 and np.count_nonzero(v) == 1
 
 

@@ -708,7 +708,7 @@ def test_walk_folds_a_repeated_segment_once(monkeypatch):
     for s, segs in enumerate(zip(cls.upper_segments, cls.lower_segments)):
         if s:
             prefixes *= len(cls.decisions[s - 1].terms)
-        once_per_prefix += prefixes * sum(map(len, segs))
+        once_per_prefix += prefixes * sum(bool(factors) + len(gates) for factors, gates in segs)
     calls = 0
     multiply = Package.multiply
 
@@ -725,8 +725,8 @@ def test_walk_folds_a_repeated_segment_once(monkeypatch):
 
 
 def test_walk_record_serves_one_classification(fig4):
-    # the record's stacks and tables hold one classification's states and
-    # operators; handed another, it must not fold from them
+    # the record's stacks and fold tables hold one classification's states,
+    # keyed by its segment positions; handed another, it must not fold from them
     import qcdd.hybrid as hybrid_mod
 
     p = Partition(2)
@@ -754,15 +754,14 @@ def _rotation_circuit(n, depth, seed):
 
 
 def _block_op_counts(cls):
-    """Per block (upper, lower), how many (segment, op, digit) of the
-    classification have each (qubits, matrix bytes)."""
+    """Per block (upper, lower), how many ops of the classification, gates
+    and decision factors, have each (qubits, matrix bytes)."""
     out = []
     for segments in (cls.upper_segments, cls.lower_segments):
         counts = Counter()
-        for segment in segments:
-            for qs, m, j in segment:
-                for f in [m] if j is None else m:
-                    counts[tuple(qs), np.asarray(f, dtype=complex).tobytes()] += 1
+        for factors, gates in segments:
+            for qs, m, *_ in (*factors, *gates):
+                counts[tuple(qs), np.asarray(m, dtype=complex).tobytes()] += 1
         out.append(counts)
     return out
 
@@ -770,7 +769,8 @@ def _block_op_counts(cls):
 @pytest.mark.parametrize("gc_limit", [40, 150, 250])
 def test_walk_builds_each_operator_once_between_collections(monkeypatch, gc_limit):
     # small limits collect inside segments and between them; the operator
-    # table must then drop its diagrams and build each at most once again
+    # cache must then drop its diagrams and build each at most once again,
+    # once per content however many ops of the block carry it
     import qcdd.hybrid as hybrid_mod
 
     c, p = _rotation_circuit(6, 6, 3), Partition(3)
@@ -798,10 +798,12 @@ def test_walk_builds_each_operator_once_between_collections(monkeypatch, gc_limi
         acc += got
     assert np.abs(acc - dense_simulate(c)).max() < 1e-12
     assert up.gc_runs > 1 and lo.gc_runs > 1
-    # a piece of a cut run matches no op of the block, so it may be built once
-    allowed = _block_op_counts(cls)
+    ops = _block_op_counts(cls)
+    assert any(k > 1 for counts in ops for k in counts.values())
     for (b, _, content), k in calls.items():
-        assert k <= max(1, allowed[b][content])
+        assert k == 1
+        # an op of the block, or a piece of one of its cut runs
+        assert content in ops[b] or any(set(content[0]) < set(qs) for qs, _ in ops[b])
 
 
 # the lower block's qubit 0 stays |0>, on which both lower factors of a cz
@@ -849,6 +851,35 @@ def test_walk_answers_a_repeated_state_before_its_factor(monkeypatch):
     assert lower_last[0, 0][0] > 0 and lower_last[0, 1][0] > 0
     assert lower_last[1, 0] == (0, 1) and lower_last[1, 1] == (0, 1)
     assert res.stats["fold_hits"] == sum(hits for *_, hits in folds)
+
+
+def test_walk_builds_a_shared_decision_factor_once(monkeypatch):
+    # both decisions of PRE_REPEATS act on lower qubit 0 with the factors I
+    # and Z, and on upper qubit 0 with the same projectors: each of these
+    # four contents is built once per block, not once per decision
+    import qcdd.hybrid as hybrid_mod
+
+    c, p = PRE_REPEATS, Partition(2)
+    cls = classify(c, p)
+    built = Counter()
+    matrix_dd = Package.matrix_dd
+
+    def counted(pkg, n, qubits, base):
+        built[id(pkg), tuple(qubits), np.asarray(base, dtype=complex).tobytes()] += 1
+        return matrix_dd(pkg, n, qubits, base)
+
+    monkeypatch.setattr(Package, "matrix_dd", counted)
+    up, lo = Package(), Package()
+    walk = hybrid_mod._Walk(up, lo)
+    for i in range(cls.path_count):
+        simulate_path(c, p, path_digits(cls.decisions, i), up, lo, cls, walk=walk)
+    assert up.gc_runs == 0 and lo.gc_runs == 0
+    assert set(built.values()) == {1}
+    for pkg, segments in ((up, cls.upper_segments), (lo, cls.lower_segments)):
+        (f1, _), (f2, _) = segments[1:]
+        for first, second in zip(f1, f2):
+            assert first[3] == second[3]
+            assert built[id(pkg), first[0], first[1].tobytes()] == 1
 
 
 @pytest.mark.parametrize("seed", range(6))

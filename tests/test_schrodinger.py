@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,3 +250,27 @@ def test_fused_fold_peak_stays_at_op_by_op_peak_under_small_gc_limit(seed):
     assert np.abs(
         pkg.extract_statevector(fused) - ref_pkg.extract_statevector(ref)
     ).max() < 1e-12
+
+
+def test_simulate_builds_each_operator_once_between_collections(monkeypatch):
+    # a grid circuit repeats its cz pairs: each distinct (qubits, content)
+    # is built once, however many times it is applied
+    c = generate_random_circuit(8, 16, 0, 0.7, "grid")
+    applied = Counter(
+        (g.qubits, g.operator().tobytes()) for g in c.gates if g.kind == "cz"
+    )
+    assert max(applied.values()) > 1
+    built = Counter()
+    matrix_dd = Package.matrix_dd
+
+    def counted(pkg, n, qubits, base):
+        built[tuple(qubits), np.asarray(base, dtype=complex).tobytes()] += 1
+        return matrix_dd(pkg, n, qubits, base)
+
+    monkeypatch.setattr(Package, "matrix_dd", counted)
+    pkg = Package()
+    state = simulate(c, pkg)
+    assert pkg.gc_runs == 0
+    assert set(built.values()) == {1}
+    assert set(applied) <= set(built)
+    assert np.abs(pkg.extract_statevector(state, c.n) - dense_simulate(c)).max() < 1e-12
