@@ -22,6 +22,7 @@ from .circuit import Circuit, generate_random_circuit
 from .dd import Package
 from .hybrid import Partition, classify, default_partition, run_hybrid_amp, run_hybrid_dd
 from .schrodinger import simulate
+from .weights import DEFAULT_TOL
 
 COLUMNS = ["name", "decisions", "t_ref", "t_DD", "t_ref/t_DD", "t_amp", "t_ref/t_amp"]
 VERIFY_CAP = 20  # largest n whose engine outputs ``verify`` compares
@@ -127,7 +128,7 @@ def run_bench(
     pairing: str = "grid",
     workers: int | None = None,
     timeout: float = 300.0,
-    tol: float = 1e-13,
+    tol: float = DEFAULT_TOL,
     verify: bool = False,
 ) -> list[BenchRow]:
     """Generate one circuit per (n, depth, seed) and time each engine on it

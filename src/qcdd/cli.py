@@ -22,11 +22,11 @@ import time
 import numpy as np
 
 from .circuit import CapacityError, Circuit, dense_simulate, generate_random_circuit
-from .dd import Package
+from .dd import EXTRACT_CAP, Package
 from .hybrid import Partition, TopologyError, run_hybrid_amp, run_hybrid_dd
 from .qasm import QasmError, parse
 from .schrodinger import simulate
-from .weights import check_tolerance
+from .weights import DEFAULT_TOL, check_tolerance
 from . import bench as bench_mod
 
 EXIT_OK = 0
@@ -95,9 +95,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                        help="cut position (lower block = qubits 0..cut-1); default n//2")
         p.add_argument("--workers", type=worker_count, default=None,
                        help="worker processes for the hybrid engines, at least 1 (default: all cores)")
-        p.add_argument("--tol", type=tolerance, default=1e-13,
+        p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL,
                        help="weight canonicalization tolerance, between 0 and 1")
-        p.add_argument("--amp-cap", type=int, default=30,
+        p.add_argument("--amp-cap", type=int, default=EXTRACT_CAP,
                        help="max qubits for dense extraction; in hybrid-amp mode also the"
                             " log2 of the block-row amplitudes of all paths")
         p.add_argument("--config", help="key=value file of defaults; command-line flags win")
@@ -126,7 +126,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     ben_p.add_argument("--density", type=float, default=0.5)
     ben_p.add_argument("--pairing", choices=("any", "grid"), default="grid")
     ben_p.add_argument("--workers", type=worker_count, default=None)
-    ben_p.add_argument("--tol", type=tolerance, default=1e-13)
+    ben_p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     ben_p.add_argument("--timeout", type=float, default=300.0,
                        help="per-engine-run timeout in seconds")
     ben_p.add_argument("--csv", default=None, help="write the report table to this CSV file")

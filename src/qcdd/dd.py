@@ -59,18 +59,24 @@ from typing import Iterable
 import numpy as np
 
 from .circuit import CapacityError
-from .weights import ONE, ZERO, ComplexTable
+from .weights import DEFAULT_TOL, ONE, ZERO, ComplexTable
 
 Edge = tuple[complex, int]
 
 ZERO_EDGE: Edge = (ZERO, 0)
 ONE_EDGE: Edge = (ONE, 0)
 
+# The default largest qubit count of a dense extraction, and in hybrid-amp
+# mode the default log2 of the block-row amplitudes of all paths.
+EXTRACT_CAP = 30
+
 
 class Package:
     """One self-contained decision diagram manager (single-writer)."""
 
-    def __init__(self, tol: float = 1e-13, extract_cap: int = 30, gc_limit: int = 200_000):
+    def __init__(
+        self, tol: float = DEFAULT_TOL, extract_cap: int = EXTRACT_CAP, gc_limit: int = 200_000
+    ):
         self.weights = ComplexTable(tol)
         self.extract_cap = extract_cap
         self.gc_limit = gc_limit
@@ -183,10 +189,11 @@ class Package:
         leftmost within ``tol`` of the largest magnitude is divided out, and
         a weight within ``tol`` of 0 counts as zero).  The successor weights
         may be raw, and the returned edge's weight is the divisor as given;
-        only the ratios are looked up."""
+        only the ratios are looked up, each one even where the divisor is
+        exactly ONE, since a raw successor weight is no representative."""
         succ = list(succ)
-        wt = self.weights
-        tol = wt.tol
+        lookup = self.weights.lookup
+        tol = self.weights.tol
         mags = [
             -1.0 if -tol <= w.real <= tol and -tol <= w.imag <= tol else abs(w)
             for w, _ in succ
@@ -203,7 +210,7 @@ class Package:
             elif i == pick:
                 parts.extend((ONE, t))
             else:
-                nw = wt.div(w, norm)
+                nw = lookup(w / norm)
                 parts.extend((ZERO, 0) if nw == ZERO else (nw, t))
         return (norm, self._unique((level, *parts)))
 
@@ -361,30 +368,19 @@ class Package:
         return len(self.reachable([e]))
 
     def norm(self, e: Edge) -> float:
-        """L2 norm of the represented vector, one O(nodes) pass."""
+        """L2 norm of the represented vector, one O(nodes) pass that visits
+        each node after its successors (ascending level)."""
         w, t = e
         if t:
             self._vector_root(t)
         if w == ZERO:
             return 0.0
         nodes = self._nodes
-        cache: dict[int, float] = {}
-
-        def n2(node: int) -> float:
-            if node == 0:
-                return 1.0
-            r = cache.get(node)
-            if r is None:
-                _, w0, t0, w1, t1 = nodes[node]
-                r = 0.0
-                if w0 != ZERO:
-                    r += abs(w0) ** 2 * n2(t0)
-                if w1 != ZERO:
-                    r += abs(w1) ** 2 * n2(t1)
-                cache[node] = r
-            return r
-
-        return abs(w) * n2(t) ** 0.5
+        n2 = {0: 1.0}
+        for node in sorted(self.reachable([e]), key=lambda u: nodes[u][0]):
+            _, w0, t0, w1, t1 = nodes[node]
+            n2[node] = abs(w0) ** 2 * n2[t0] + abs(w1) ** 2 * n2[t1]
+        return abs(w) * n2[t] ** 0.5
 
     # ------------------------------------------------------------------
     # algebra
@@ -506,20 +502,22 @@ class Package:
         width = self._vector_root(st)[0] + 1 if st else 0
         if shift < 0 or (sw != ZERO and width != shift):
             raise ValueError(f"shift {shift} does not match a splice of {width} qubit(s)")
+        nodes = src._nodes
         memo: dict[int, Edge] = {}
 
-        def rec(w: complex, t: int) -> Edge:
+        def copy(w: complex, t: int) -> Edge:
             if w == ZERO:
                 return ZERO_EDGE
             if t == 0:
                 return (sw * w, st)
-            cached = memo.get(t)
-            if cached is None:
-                level, w0, t0, w1, t1 = src._nodes[t]
-                cached = memo[t] = self._normalize(level + shift, *rec(w0, t0), *rec(w1, t1))
-            return (w * cached[0], cached[1])
+            cw, ct = memo[t]
+            return (w * cw, ct)
 
-        return self._intern(rec(*e))
+        # ascending level puts every node after its successors
+        for t in sorted(src.reachable([e]), key=lambda u: nodes[u][0]):
+            level, w0, t0, w1, t1 = nodes[t]
+            memo[t] = self._normalize(level + shift, *copy(w0, t0), *copy(w1, t1))
+        return self._intern(copy(*e))
 
     # ------------------------------------------------------------------
     # gate operators

@@ -20,13 +20,13 @@ stack of prefix states per block, so a path resumes from the prefix it
 shares with the previous one and folds only the segments after it.  A
 prefix whose state is zero in either block answers every path under it
 with the zero edge, without folding.  The decision factors project, so
-many prefixes reach the same block node before or past a decision: the
-walk record also keeps, per block, a table of the segment folds it has
-made from each such node, keyed by the node before the segment's factor
-and by the node past it, and answers a repeat by rescaling the stored end
-state.  The ops carry content keys from ``classify``, so ``apply_ops``
-builds each distinct gate or decision factor once per block package until
-that package next collects garbage, not once per application.
+many prefixes reach the same block node at a later decision: the walk
+record also keeps, per block, a table of the segment folds it has made,
+keyed by the segment, its digit and the node before the segment's
+factor, and answers a repeat by rescaling the stored end state.  The ops
+carry content keys from ``classify``, so ``apply_ops`` builds each
+distinct gate or decision factor once per block package until that
+package next collects garbage, not once per application.
 
 Both modes run one driver, ``_run_paths``, which hands the two block states
 of each path whose blocks are both non-zero to a "summer".  Each worker
@@ -68,9 +68,9 @@ from typing import Iterator
 import numpy as np
 
 from .circuit import CapacityError, Circuit, Gate
-from .dd import ZERO_EDGE, Edge, Package
+from .dd import EXTRACT_CAP, ZERO_EDGE, Edge, Package
 from .schrodinger import apply_ops, fuse_runs
-from .weights import ONE, check_tolerance
+from .weights import DEFAULT_TOL, ONE, check_tolerance
 
 
 class TopologyError(Exception):
@@ -224,17 +224,12 @@ class _Walk:
 
     The record keeps one fold table per block, its node table in the
     block's package (:meth:`Package.node_table`), which the package empties
-    at each garbage collection.  Its keys are:
-
-    - ``(s, node)``: past its opening factor a segment holds only gates,
-      which do not depend on the digit, and a fold is linear, so a segment
-      folded from ``(w, node)`` ends on the same node as a fold from any
-      other weight on ``node``, with its weight scaled;
-    - ``((s, d), node)``: likewise from the state before the factor of
-      digit ``d``, so a repeat applies not even the factor.
-
-    Each maps to the start weight and end edge of the first such fold.
-    ``fold_hits`` counts the folds the table answered, on either key.
+    at each garbage collection.  A fold is linear, so segment ``s`` folded
+    with digit ``d`` from ``(w, node)`` ends on the same node as a fold from
+    any other weight on ``node``, with its weight scaled: the table maps
+    ``((s, d), node)``, the state before the segment's factor, to the start
+    weight and end edge of the first such fold, and a repeat applies not
+    even the factor.  ``fold_hits`` counts the folds the table answered.
     """
 
     def __init__(self, pkg_upper: Package, pkg_lower: Package):
@@ -250,46 +245,27 @@ class _Walk:
         segment ``s`` on ``path``: segment 0 from |0...0>, a later one from
         the top of the block's stack.  A later segment is answered from the
         fold table when the table holds its start node for the segment and
-        digit.  Otherwise its factor is applied; a zero state is then the
-        end state, and a state whose node the table holds for the segment
-        is answered from it; any other is folded through the rest.  The
-        pre-factor entry is always stored, since the start state is on the
-        stack, a gc root; the post-factor one only if the package collected
-        no garbage during the rest of the fold, since that state is no root
-        there, so its node id may have been reused."""
+        digit.  Otherwise its factor is applied, and a state that is not
+        zero is folded through the rest.  The entry is always stored: its
+        key's node is the start state's, which is on the stack, a gc root,
+        so a collection during the fold cannot have reused its id."""
         pkg, stack, table = self.packages[b], self.stacks[b], self.tables[b]
         factors, gates = (self.cls.upper_segments, self.cls.lower_segments)[b][s]
         if not s:
             return apply_ops(pkg, n, gates, check_norm, None, stack)
         d = path[s - 1]
         w, node = stack[-1]
-        pre = ((s, d), node)
-        hit = table.get(pre)
+        key = (s, d), node
+        hit = table.get(key)
         if hit is not None:
             self.fold_hits += 1
-            return _rescale(pkg, hit, w)
-        start = apply_ops(pkg, n, factors[d : d + 1], check_norm, stack[-1], stack)
-        if start == ZERO_EDGE:
-            end = start
-        else:
-            post = (s, start[1])
-            hit = table.get(post)
-            if hit is not None:
-                self.fold_hits += 1
-                end = _rescale(pkg, hit, start[0])
-            else:
-                gc_runs = pkg.gc_runs
-                end = apply_ops(pkg, n, gates, check_norm, start, stack)
-                if pkg.gc_runs == gc_runs:
-                    table[post] = start[0], end
-        table[pre] = w, end
+            ref, (end_w, end_t) = hit
+            return pkg._intern((end_w * (w / ref), end_t))
+        end = apply_ops(pkg, n, factors[d : d + 1], check_norm, stack[-1], stack)
+        if end != ZERO_EDGE:
+            end = apply_ops(pkg, n, gates, check_norm, end, stack)
+        table[key] = w, end
         return end
-
-
-def _rescale(pkg: Package, entry: tuple[complex, Edge], w: complex) -> Edge:
-    """A fold table entry's end edge for a fold from weight ``w``."""
-    ref, (end_w, end_t) = entry
-    return pkg._intern((end_w * (w / ref), end_t))
 
 
 def simulate_path(
@@ -308,8 +284,8 @@ def simulate_path(
     The path resumes from the longest prefix it shares with ``walk`` (a
     fresh record when ``None``) and folds only the segments after it, both
     blocks one decision at a time, pushing each prefix state on the
-    record.  A segment whose state before or past its decision factor sits
-    on a node the record has already folded that segment from is not
+    record.  A segment whose state before its decision factor sits on a
+    node the record has already folded that segment and digit from is not
     folded again: the stored end state is rescaled (see :class:`_Walk`).
     With ``check_norm`` such a hit is not checked again; it repeats a fold
     that passed the check, and the norm scales with the weight.  Once
@@ -670,8 +646,8 @@ def run_hybrid_amp(
     circuit: Circuit,
     partition: Partition | None = None,
     workers: int = 1,
-    tol: float = 1e-13,
-    amp_cap: int = 30,
+    tol: float = DEFAULT_TOL,
+    amp_cap: int = EXTRACT_CAP,
     check_norm: bool = False,
 ) -> HybridResult:
     """Path-sum run recombining through dense block arrays.
@@ -701,8 +677,8 @@ def run_hybrid_dd(
     circuit: Circuit,
     partition: Partition | None = None,
     workers: int = 1,
-    tol: float = 1e-13,
-    amp_cap: int = 30,
+    tol: float = DEFAULT_TOL,
+    amp_cap: int = EXTRACT_CAP,
     check_norm: bool = False,
 ) -> HybridResult:
     """Path-sum run recombining by decision diagram addition.

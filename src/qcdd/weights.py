@@ -13,8 +13,9 @@ intermediate values raw (any Python ``complex``) and looks a value up only
 when a node stores it, when it keys a compute table, or when an edge is
 handed back to a caller (see :mod:`qcdd.dd`).  The arithmetic below
 (:meth:`ComplexTable.add`, :meth:`~ComplexTable.mul`,
-:meth:`~ComplexTable.div`) looks up every result and serves the operator
-builder and the tests.
+:meth:`~ComplexTable.div`) looks up every result and serves the tests.  The
+diagram algebra calls none of it: its operands are raw, and a shortcut
+such as ``div(a, ONE)`` returning ``a`` would store a raw value.
 
 A table is single-writer; concurrent simulations each own a private table
 and re-canonicalize weights when results are combined (see
@@ -29,6 +30,9 @@ import math
 # representatives, so anything within tol of 0 or 1 looks up as exactly these.
 ZERO = 0j
 ONE = 1 + 0j
+
+# The default tolerance of every table, and so of every package and engine.
+DEFAULT_TOL = 1e-13
 
 # Probe order for neighbouring tolerance buckets; the home bucket comes first
 # because nearly all hits land there.
@@ -53,7 +57,7 @@ class ComplexTable:
     its live nodes store.
     """
 
-    def __init__(self, tol: float = 1e-13):
+    def __init__(self, tol: float = DEFAULT_TOL):
         self.tol = check_tolerance(tol)
         self._buckets: dict[tuple[int, int], list[complex]] = {}
         self._size = 0

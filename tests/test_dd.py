@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qcdd.circuit import (
     CapacityError, Circuit, Gate, apply_matrix, dense_simulate,
-    generate_random_circuit,
+    gate_matrix, generate_random_circuit,
 )
 from qcdd.dd import ONE_EDGE, ZERO_EDGE, Package
 from qcdd.schrodinger import apply_ops, fuse_runs, simulate
@@ -674,6 +674,15 @@ def assert_representatives(pkg, edges):
     assert len(pkg.weights) == size
 
 
+def test_factor_form_looks_up_ratios_over_a_divisor_of_one():
+    # the chain's weights are raw products; at level 1 the divisor is
+    # e^{-i t/2} e^{i t/2}, exactly ONE, and the other ratio must still be
+    # looked up before the node stores it
+    pkg = Package()
+    e = pkg.matrix_dd(2, (0, 1), [gate_matrix("rz", (0.0274,)), gate_matrix("rz", (-0.0274,))])
+    assert_representatives(pkg, [e])
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_stored_weights_are_representatives(data):
@@ -695,10 +704,16 @@ def test_stored_weights_are_representatives(data):
             (a, va), (b, vb) = data.draw(st.sampled_from(live)), data.draw(st.sampled_from(live))
             e, v = pkg.add(a, b), va + vb
         elif op == "mul":
+            # a factor-form run on distinct qubits; rz(t) beside rz(-t)
+            # makes a level whose divisor is exactly ONE likely
             a, va = data.draw(st.sampled_from(live))
-            q = data.draw(st.integers(0, n - 1))
-            gate = data.draw(st.sampled_from(GATES_1Q))
-            e, v = pkg.multiply(pkg.matrix_dd(n, (q,), gate), a), apply_matrix(va, gate, (q,), n)
+            qs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+            t = 0.0137 * data.draw(st.integers(1, 399))
+            rz = (gate_matrix("rz", (t,)), gate_matrix("rz", (-t,)))
+            gates = [data.draw(st.sampled_from(GATES_1Q + rz)) for _ in qs]
+            e, v = pkg.multiply(pkg.matrix_dd(n, tuple(qs), gates), a), va
+            for q, gate in zip(qs, gates):
+                v = apply_matrix(v, gate, (q,), n)
         else:
             m = data.draw(st.integers(1, n))
             vu = vector(m)

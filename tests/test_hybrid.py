@@ -584,7 +584,8 @@ def _path_term(c, cut, up, lo, edges):
 # every cz has its control on qubit 2, which an h puts back in |+> before
 # each decision: past decision j's projector the upper block is |d_j> on
 # qubit 2 whatever the earlier digits, and a Z on a lower qubit still in
-# |0> leaves the state as it is, so post-decision block states repeat
+# |0> leaves the state as it is, so post-decision block states repeat, and
+# with them the block states the next decision starts from
 REPEATS = Circuit(4, (
     Gate("h", targets=(2,)),
     Gate("h", targets=(0,)),
@@ -647,9 +648,10 @@ def test_walk_matches_fresh_folds(case, workers, w):
 @settings(max_examples=60, deadline=None)
 def test_walk_with_fold_tables_matches_fresh_folds(case, workers, w, gc_limit):
     # at the default gc limit these circuits never collect, so the fold
-    # tables answer every repeated post-decision state; a small limit
-    # collects now and then, also in the middle of a fold, and the tables
-    # must never answer from a node id that a collection freed
+    # tables answer every segment fold whose start state, before its
+    # decision factor, repeats; a small limit collects now and then, also in
+    # the middle of a fold, and the tables must never answer from a node id
+    # that a collection freed
     _check_walk_against_fresh_folds(case, workers, w, gc_limit=gc_limit)
 
 
@@ -698,8 +700,8 @@ def test_walk_prunes_zero_subtrees(monkeypatch):
 
 def test_walk_folds_a_repeated_segment_once(monkeypatch):
     # without the fold tables the walk folds each segment once per prefix;
-    # with them, a post-decision state the record has folded that segment
-    # from costs only its decision factor
+    # with them, a start state the record has folded that segment and digit
+    # from, before the decision factor, costs no multiplication at all
     c, p = REPEATS, Partition(2)
     cls = classify(c, p)
     assert cls.path_count == 8
