@@ -35,7 +35,8 @@ def main() -> int:
     ap.add_argument("--max-decisions", type=int, default=6)
     ap.add_argument("--timeout", type=float, default=300.0)
     ap.add_argument("--workers", type=worker_count, default=None,
-                    help="worker processes per engine run, at least 1 (default: all cores)")
+                    help="worker processes per engine run, at least 1"
+                         " (default: the CPUs this process may run on)")
     ap.add_argument("--csv", default=None)
     args = ap.parse_args()
 

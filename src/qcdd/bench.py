@@ -20,7 +20,9 @@ import numpy as np
 
 from .circuit import Circuit, generate_random_circuit
 from .dd import Package
-from .hybrid import Partition, classify, default_partition, run_hybrid_amp, run_hybrid_dd
+from .hybrid import (
+    Partition, classify, default_partition, run_hybrid_amp, run_hybrid_dd, usable_cpus,
+)
 from .schrodinger import simulate
 from .weights import DEFAULT_TOL
 
@@ -132,10 +134,10 @@ def run_bench(
     verify: bool = False,
 ) -> list[BenchRow]:
     """Generate one circuit per (n, depth, seed) and time each engine on it
-    (``workers=None``: all cores)."""
+    (``workers=None``: the CPUs this process may run on)."""
     if workers is not None and workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    workers = workers or os.cpu_count() or 1
+    workers = workers or usable_cpus()
     rows = []
     for n in ns:
         for depth in depths:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -23,7 +22,9 @@ import numpy as np
 
 from .circuit import CapacityError, Circuit, dense_simulate, generate_random_circuit
 from .dd import EXTRACT_CAP, Package
-from .hybrid import Partition, TopologyError, run_hybrid_amp, run_hybrid_dd
+from .hybrid import (
+    STATS_SCHEMA, Partition, TopologyError, run_hybrid_amp, run_hybrid_dd, usable_cpus,
+)
 from .qasm import QasmError, parse
 from .schrodinger import simulate
 from .weights import DEFAULT_TOL, check_tolerance
@@ -94,7 +95,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         p.add_argument("--cut", type=int, default=None,
                        help="cut position (lower block = qubits 0..cut-1); default n//2")
         p.add_argument("--workers", type=worker_count, default=None,
-                       help="worker processes for the hybrid engines, at least 1 (default: all cores)")
+                       help="worker processes for the hybrid engines, at least 1"
+                            " (default: the CPUs this process may run on)")
         p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL,
                        help="weight canonicalization tolerance, between 0 and 1")
         p.add_argument("--amp-cap", type=int, default=EXTRACT_CAP,
@@ -159,7 +161,7 @@ class UsageError(Exception):
 
 def _run_engine(args, circuit: Circuit, mode: str):
     """Returns (amplitude_getter, full_vector_getter, stats_record)."""
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else usable_cpus()
     check = getattr(args, "check_norms", False)
     if mode == "schrodinger":
         pkg = Package(args.tol, extract_cap=args.amp_cap)
@@ -167,6 +169,7 @@ def _run_engine(args, circuit: Circuit, mode: str):
         edge = simulate(circuit, pkg, check_norm=check)
         wall = time.perf_counter() - t0
         record = {
+            "schema": STATS_SCHEMA,
             "mode": "schrodinger",
             "n": circuit.n,
             "gates": len(circuit.gates),

@@ -48,7 +48,11 @@ The table records its identity matrix nodes, and ``multiply`` stops at
 them, so a gate costs work only down to its lowest operand.
 Parallel simulation runs one package per block per worker and never shares
 one across workers; node ids mean nothing outside their package, so results
-are moved between packages with :meth:`Package.import_edge`.
+are moved between packages with :meth:`Package.import_edge`, one memoized
+recursive copy.  A caller that moves many diagrams from one package keeps
+one memo for them, the source's node table owned by the destination, so a
+node is copied once, however many of the diagrams share it, until the
+source collects garbage.
 """
 
 from __future__ import annotations
@@ -485,7 +489,10 @@ class Package:
             self._memo_mul[key] = res
         return (w * res[0], res[1])
 
-    def import_edge(self, src: "Package", e: Edge, shift: int = 0, splice: Edge | None = None) -> Edge:
+    def import_edge(
+        self, src: "Package", e: Edge, shift: int = 0, splice: Edge | None = None,
+        memo: dict[int, Edge] | None = None,
+    ) -> Edge:
         """Copy a vector diagram from ``src`` into this package.
 
         ``shift`` raises every level by that amount; ``splice`` (an edge of
@@ -495,6 +502,17 @@ class Package:
         Every node is normalized again here, so the weights it stores are
         representatives of this package's table; this is the one sanctioned
         way to move results between per-worker packages.
+
+        The copy recurses from the root, and ``memo`` maps each ``src`` node
+        id it has copied to the copy's edge here, with the raw weight
+        :meth:`_normalize` returned, so a node is normalized once however
+        many times it is reached.  A memo the caller passes persists across
+        calls: a node shared by several imported diagrams is copied once.
+        Such a memo serves one ``(shift, splice)``, and it is the caller's
+        to keep valid: it must be emptied when ``src`` collects garbage (a
+        node table of ``src`` is, see :meth:`node_table`), and its values
+        must be roots of every collection here.  Without one, each call
+        copies into a fresh dict.
         """
         if e[1]:
             src._vector_root(e[1])
@@ -503,20 +521,21 @@ class Package:
         if shift < 0 or (sw != ZERO and width != shift):
             raise ValueError(f"shift {shift} does not match a splice of {width} qubit(s)")
         nodes = src._nodes
-        memo: dict[int, Edge] = {}
+        normalize = self._normalize
+        if memo is None:
+            memo = {}
 
         def copy(w: complex, t: int) -> Edge:
             if w == ZERO:
                 return ZERO_EDGE
             if t == 0:
                 return (sw * w, st)
-            cw, ct = memo[t]
-            return (w * cw, ct)
+            res = memo.get(t)
+            if res is None:
+                level, w0, t0, w1, t1 = nodes[t]
+                res = memo[t] = normalize(level + shift, *copy(w0, t0), *copy(w1, t1))
+            return (w * res[0], res[1])
 
-        # ascending level puts every node after its successors
-        for t in sorted(src.reachable([e]), key=lambda u: nodes[u][0]):
-            level, w0, t0, w1, t1 = nodes[t]
-            memo[t] = self._normalize(level + shift, *copy(w0, t0), *copy(w1, t1))
         return self._intern(copy(*e))
 
     # ------------------------------------------------------------------

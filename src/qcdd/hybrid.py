@@ -33,15 +33,16 @@ of each path whose blocks are both non-zero to a "summer".  Each worker
 keeps one package per block and one walk record for all of its paths, so
 the prefix states, the fold tables, the operator diagrams and the compute
 tables stay warm from one path to the next.
-``run_hybrid_amp`` writes each path's two block arrays as rows of one
-shared mapping and forms the state as one matrix product of all the rows
-(``_AmpSum``); a block node is extracted once, and a later row on the same
-node is that row rescaled;
+``run_hybrid_amp`` writes each non-zero path's two block arrays as rows of
+one shared mapping and forms the state as one matrix product of the
+written rows (``_AmpSum``); a block node is extracted once, and a later
+row on the same node is that row rescaled;
 ``run_hybrid_dd`` adds the paths as diagrams in the run's package
-(``_DDSum``): it imports each distinct block node there once, sums the
-lower diagrams of the paths that share an upper node, and splices each
-distinct upper node once, above its sum, which forms the tensor products
-by distributivity.
+(``_DDSum``): it copies each block node there once per run, through one
+import memo per block package, so the sub-nodes that the imported
+diagrams share are copied once too; it sums the lower diagrams of the
+paths that share an upper node, and splices each distinct upper node
+once, above its sum, which forms the tensor products by distributivity.
 
 With ``W`` workers of ``P`` paths, worker ``w`` walks the contiguous path
 range ``[w * P // W, (w + 1) * P // W)``, so only a subtree cut by a range
@@ -50,8 +51,8 @@ process; workers ``1..W-1`` are forked OS processes, forked before worker 0
 folds a path, and each replies through its own pipe; workers share no
 lock.  Every worker writes its amplitude rows in place in the mapping,
 which the caller made before the fork, so a forked amplitude worker sends
-none; a forked DD worker sends its partial sum copied into a fresh package,
-and the caller adds the partials to its own sum.
+only their number; a forked DD worker sends its partial sum copied into a
+fresh package, and the caller adds the partials to its own sum.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ import functools
 import itertools
 import mmap
 import multiprocessing as mp
+import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -71,6 +73,10 @@ from .circuit import CapacityError, Circuit, Gate
 from .dd import EXTRACT_CAP, ZERO_EDGE, Edge, Package
 from .schrodinger import apply_ops, fuse_runs
 from .weights import DEFAULT_TOL, ONE, check_tolerance
+
+
+# version of the stats record's layout (``HybridResult.stats``, ``--stats``)
+STATS_SCHEMA = 1
 
 
 class TopologyError(Exception):
@@ -353,13 +359,17 @@ _STAGES = ("simulate", "kron", "extract", "add")
 
 
 class _AmpSum:
-    """Amplitude mode: each path's two block arrays are extracted and kept as
-    one row each.  With cut ``k`` the state, reshaped to ``(2**(n-k), 2**k)``
-    with the upper block in the high bits, is ``U.T @ L``, where row ``p`` of
-    ``U`` and ``L`` holds path ``p``'s upper and lower block array.  Both
-    live in one anonymous shared mapping, made here before any worker is
-    forked, so a forked worker writes its paths' rows in place and ships
-    none.  The mapping starts zeroed, and a zero path's rows are never
+    """Amplitude mode: each non-zero path's two block arrays are extracted
+    and kept as one row each.  With cut ``k`` the state, reshaped to
+    ``(2**(n-k), 2**k)`` with the upper block in the high bits, is
+    ``U[:m].T @ L[:m]``, where row ``r`` of ``U`` and ``L`` holds the upper
+    and lower block array of the ``r``-th of the ``m`` non-zero paths.  Both
+    live in one anonymous shared mapping with a row pair per path, made here
+    before any worker is forked, so a forked worker writes its paths' rows
+    in place and ships only their number.  A worker writes its non-zero
+    paths' rows one after another from the start of its own path range, and
+    ``total`` moves each forked worker's rows down behind the ones before
+    them, so the product skips the zero paths, whose rows are never
     written.
 
     Many paths end on the same block node.  Per block, the summer's node
@@ -386,11 +396,15 @@ class _AmpSum:
         rows = np.frombuffer(mmap.mmap(-1, amps * 16), dtype=complex)
         self.upper = rows[: paths * widths[0]].reshape(paths, widths[0])
         self.lower = rows[paths * widths[0] :].reshape(paths, widths[1])
+        # rows this process wrote, from the start of its range; after
+        # total, the rows the product read
+        self.written = 0
 
-    def add_path(self, i: int, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
+    def add_path(self, row: int, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
-        self._fill(self.upper[i], up, ue)
-        self._fill(self.lower[i], lo, le)
+        self._fill(self.upper[row], up, ue)
+        self._fill(self.lower[row], lo, le)
+        self.written += 1
         times["extract"] += time.perf_counter() - t0
 
     def _fill(self, row: np.ndarray, pkg: Package, e: Edge):
@@ -404,13 +418,30 @@ class _AmpSum:
             first, w = hit
             np.multiply(first, e[0] / w, out=row)
 
-    def ship(self, times: dict):
-        """Nothing: the rows are already in the shared mapping."""
+    def ship(self, times: dict) -> int:
+        """The number of rows written: the rows are already in the shared
+        mapping."""
+        return self.written
 
     def total(self, shipped, times: dict) -> np.ndarray:
-        """The state, ``U.T @ L`` of all the rows, as a fresh array."""
+        """The state, ``U[:m].T @ L[:m]`` of the ``m`` written rows, as a
+        fresh array.  Forked worker ``w``'s ``shipped[w - 1]`` rows start
+        its path range, and are moved down behind the rows before them
+        first.  A move copies between 1-D views of the mapping, which numpy
+        does like ``memmove``, without a temporary copy where they
+        overlap."""
         t0 = time.perf_counter()
-        state = (self.upper.T @ self.lower).ravel()
+        m = self.written
+        for w, count in enumerate(shipped, 1):
+            start = _path_range(w, len(shipped) + 1, len(self.upper)).start
+            if count and start != m:
+                for rows in (self.upper, self.lower):
+                    flat, width = rows.reshape(-1), rows.shape[1]
+                    src = flat[start * width : (start + count) * width]
+                    flat[m * width : (m + count) * width] = src
+            m += count
+        self.written = m
+        state = (self.upper[:m].T @ self.lower[:m]).ravel()
         times["kron"] += time.perf_counter() - t0
         return state
 
@@ -421,20 +452,25 @@ class _DDSum:
     path ends on and ``w_p`` the product of their weights; it is formed as
     ``sum_u U_u (x) (sum_{p in u} w_p L_l(p))``, with one group per
     distinct upper node holding that node and the running sum of its
-    paths' lower diagrams.  Each distinct block node is imported into the
-    run's package once, with weight ONE, and a later path on it rescales
-    the imported edge.  The maps from a block node to its imported lower
-    edge or its group are the summer's node tables in the block packages
-    (:meth:`Package.node_table`), dropped at their next garbage collection.
+    paths' lower diagrams.  Each block package keeps one import memo, its
+    node table owned by the run's package (:meth:`Package.node_table`),
+    which maps each block node copied so far, sub-nodes included, to its
+    copy there (see :meth:`Package.import_edge`).  So a block node is
+    copied once per run (per gc epoch of its package), however many
+    imported diagrams share it; a later path on a lower node rescales the
+    memo's edge without calling ``import_edge``.  The map from an upper
+    node to its group is the summer's node table in the upper package.
+    The block packages drop these tables at their next garbage collection.
 
     ``ship``/``total`` splice each group's upper node above its lower sum,
     in creation order, and add the products by a binary counter, so the
     addition tree has logarithmic depth in the number of groups.  The run's
     package may collect garbage after each path and each splice, with the
-    counter's slots, the groups not yet spliced and the imported edges as
-    roots.  A forked worker ships its partial sum copied into a fresh
-    package, with its number of splices; the calling process splices its
-    own groups, imports the partials and adds them by the same counter."""
+    counter's slots, the groups not yet spliced and, until splicing starts,
+    the memos' edges as roots; splicing empties the memos.  A forked worker
+    ships its partial sum copied into a fresh package, with its number of
+    splices; the calling process splices its own groups, imports the
+    partials and adds them by the same counter."""
 
     mode = "hybrid-dd"
 
@@ -446,36 +482,47 @@ class _DDSum:
         self.slots: list[Edge | None] = []
         # [upper edge, lower sum] per group, in creation order
         self.groups: list[list[Edge]] = []
+        # each block package's import memo (its node table owned by pkg)
+        self.memos: tuple[dict[int, Edge], ...] = ()
         self.splices = 0
 
-    def add_path(self, i: int, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
+    def add_path(self, row: int, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
         pkg = self.pkg
-        lowers = lo.node_table(self)
-        lower = lowers.get(le[1])
+        self.memos = up_memo, lo_memo = up.node_table(pkg), lo.node_table(pkg)
+        lower = lo_memo.get(le[1])
         if lower is None:
-            lower = lowers[le[1]] = pkg.import_edge(lo, (ONE, le[1]))
+            # the memo's raw-weight edge, the one every later path reads
+            pkg.import_edge(lo, (ONE, le[1]), memo=lo_memo)
+            lower = lo_memo[le[1]]
         groups = up.node_table(self)
         group = groups.get(ue[1])
         if group is None:
-            group = groups[ue[1]] = [pkg.import_edge(up, (ONE, ue[1])), ZERO_EDGE]
+            upper = pkg.import_edge(up, (ONE, ue[1]), memo=up_memo)
+            group = groups[ue[1]] = [upper, ZERO_EDGE]
             self.groups.append(group)
         t1 = time.perf_counter()
         group[1] = pkg.add(group[1], (ue[0] * le[0] * lower[0], lower[1]))
         times["kron"] += t1 - t0
         times["add"] += time.perf_counter() - t1
-        pkg.maybe_gc(self._roots(self.groups, lowers.values()))
+        pkg.maybe_gc(self._roots(self.groups, *(m.values() for m in self.memos)))
 
-    def _roots(self, groups, imported=()) -> Iterator[Edge]:
+    def _roots(self, groups, *imported) -> Iterator[Edge]:
         """The run package's gc roots: the counter's slots, the edges of
-        ``groups`` and the ``imported`` lower edges."""
+        ``groups`` and the edges of each of the ``imported`` iterables."""
         yield from (s for s in self.slots if s is not None)
         for group in groups:
             yield from group
-        yield from imported
+        for edges in imported:
+            yield from edges
 
     def _splice(self, times: dict):
-        """Splice every group and add the products by the counter."""
+        """Splice every group and add the products by the counter.  The
+        import memos are emptied first: their edges are no gc roots from
+        here on."""
+        for memo in self.memos:
+            memo.clear()
+        self.memos = ()
         pkg, groups = self.pkg, self.groups
         for i, (upper, lower) in enumerate(groups):
             t0 = time.perf_counter()
@@ -528,17 +575,33 @@ class _DDSum:
         return state
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the host's CPU count.  The default worker count
+    of the CLI and of the bench harness."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _path_range(w: int, workers: int, paths: int) -> range:
+    """Worker ``w``'s contiguous share of ``paths`` paths over ``workers``."""
+    return range(w * paths // workers, (w + 1) * paths // workers)
+
+
 def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
     """Worker ``w`` of ``workers``: walk the contiguous path range
     ``[w * P // workers, (w + 1) * P // workers)`` of the ``P`` paths in
     order, with one package per block and one walk record, and fold each
-    path whose two block states are both non-zero into ``summer``.  The
-    paths of a subtree are neighbours in the range, so the worker folds
-    each of its prefix states once.  Returns the stage times, the two block
-    packages' peak node counts added, the number of zero paths and the
-    walk record's ``fold_hits``."""
+    path whose two block states are both non-zero into ``summer``, with
+    its row: the path's index less the zero paths before it in the range,
+    so the rows run on from the range's start.  The paths of a subtree are
+    neighbours in the range, so the worker folds each of its prefix states
+    once.  Returns the stage times, the two block packages' peak node
+    counts added, the number of zero paths and the walk record's
+    ``fold_hits``."""
     times = dict.fromkeys(_STAGES, 0.0)
-    paths = range(w * cls.path_count // workers, (w + 1) * cls.path_count // workers)
+    paths = _path_range(w, workers, cls.path_count)
     up = Package(summer.tol, extract_cap=summer.amp_cap)
     lo = Package(summer.tol, extract_cap=summer.amp_cap)
     walk = _Walk(up, lo)
@@ -551,7 +614,7 @@ def _sum_paths(circuit, partition, cls, w, workers, check_norm, summer):
         if ZERO_EDGE in (ue, le):
             zero_paths += 1
         else:
-            summer.add_path(i, up, ue, lo, le, times)
+            summer.add_path(i - zero_paths, up, ue, lo, le, times)
     return times, up.peak_nodes + lo.peak_nodes, zero_paths, walk.fold_hits
 
 
@@ -576,7 +639,7 @@ def _run_paths(circuit, partition, cls, workers, check_norm, summer):
     ``fold_hits`` the segment folds answered from the walk records' fold
     tables, both over all workers.
 
-    A summer takes each non-zero path, with its index, by ``add_path``; a
+    A summer takes each non-zero path, with its row, by ``add_path``; a
     forked worker replies with ``ship(times)``, and ``total`` gives the
     run's sum from this process's paths and the list of those replies.  A
     forked worker that raises sends its traceback; one that dies without
@@ -629,9 +692,9 @@ def _run_paths(circuit, partition, cls, workers, check_norm, summer):
     result = summer.total(shipped, times)
     times["total"] = time.perf_counter() - t_start
     return result, dict(
-        mode=summer.mode, n=circuit.n, cut=partition.cut, decisions=len(cls.decisions),
-        path_count=total, workers=workers, times=times, max_path_nodes=max(nodes),
-        zero_paths=sum(zeros), fold_hits=sum(hits),
+        schema=STATS_SCHEMA, mode=summer.mode, n=circuit.n, cut=partition.cut,
+        decisions=len(cls.decisions), path_count=total, workers=workers, times=times,
+        max_path_nodes=max(nodes), zero_paths=sum(zeros), fold_hits=sum(hits),
     )
 
 
@@ -655,7 +718,8 @@ def run_hybrid_amp(
     Cross-path diagrams are never added as diagrams.  Memory budget, in
     complex amplitudes: the rows, ``2**(n-k) + 2**k`` per path, zero paths
     included, allocated once in one mapping shared with the workers before
-    any is forked, plus the ``2**n`` output.  ``CapacityError`` is raised
+    any is forked, plus the ``2**n`` output; the product reads only the
+    non-zero paths' rows.  ``CapacityError`` is raised
     up front when ``n`` exceeds ``amp_cap`` or when the rows would exceed
     ``2**amp_cap`` amplitudes.
     """

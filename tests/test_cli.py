@@ -101,6 +101,27 @@ def test_run_stats_json_schrodinger(tmp_path, fig4_qasm, capsys):
     assert rec["max_nodes"] >= 9
 
 
+@pytest.mark.parametrize("mode", ["schrodinger", "hybrid-dd", "hybrid-amp"])
+def test_run_stats_record_is_versioned(tmp_path, fig4_qasm, capsys, mode):
+    path = write_fig(tmp_path, fig4_qasm)
+    assert main(["run", path, "--mode", mode, "--workers", "1", "--stats"]) == 0
+    rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rec["schema"] == 1 and rec["mode"] == mode
+
+
+@pytest.mark.parametrize("mode", ["hybrid-dd", "hybrid-amp"])
+def test_default_workers_follow_cpu_affinity(monkeypatch, tmp_path, fig4_qasm, capsys, mode):
+    # a process pinned to one CPU forks no worker, however many the host has
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    path = write_fig(tmp_path, fig4_qasm)
+    assert main(["run", path, "--mode", mode, "--stats"]) == 0
+    rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rec["workers"] == 1
+
+
 def test_run_out_file(tmp_path, fig4_qasm, capsys):
     path = write_fig(tmp_path, fig4_qasm)
     out_file = tmp_path / "amps.txt"

@@ -910,6 +910,67 @@ def test_import_edge_rejects_bad_shift():
     assert np.abs(pkg.extract_statevector(k, 3) - np.kron([0.5] * 4, [0.6, 0.8])).max() < 1e-13
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_import_memo_matches_fresh_imports(data):
+    # a sequence of imports through one memo, the source package's node
+    # table owned by the destination, interleaved with new source diagrams
+    # (which reuse the ids a source gc freed) and collections in either
+    # package: every import equals a fresh one into the same package, and
+    # the memo normalizes each distinct source node once between source
+    # collections, which empty it
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(0, 3))  # the splice's qubit count; 0: none
+
+    def vector(k):
+        return np.array(data.draw(st.lists(st.sampled_from(PALETTE), min_size=1 << k,
+                                           max_size=1 << k)), dtype=complex)
+
+    src, dst = Package(), Package()
+    vl = vector(m) if m else np.ones(1)
+    splice = dst.from_statevector(vl) if m else None
+    memo = src.node_table(dst)
+    calls = 0
+    normalize = dst._normalize
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return normalize(*args)
+
+    v = vector(n)
+    diagrams = [(src.from_statevector(v), v)]
+    seen = set()  # the source nodes imported since the last source gc
+    ops = st.sampled_from(["vec", "import", "import", "sub", "src_gc", "dst_gc"])
+    for op in data.draw(st.lists(ops, min_size=1, max_size=12)):
+        if op == "vec":
+            v = vector(n)
+            diagrams.append((src.from_statevector(v), v))
+        elif op == "src_gc":
+            diagrams = data.draw(st.lists(st.sampled_from(diagrams), min_size=1, unique_by=id))
+            src.gc([e for e, _ in diagrams])
+            assert memo == {}
+            seen.clear()
+            calls = 0
+        elif op == "dst_gc":
+            # the memo's edges (and the splice) are the only roots
+            dst.gc([*memo.values(), *([splice] if splice else [])])
+        else:
+            e, v = data.draw(st.sampled_from(diagrams))
+            if op == "sub" and e[1]:
+                # a node inside the diagram, which an earlier import may
+                # already have copied
+                e, v = (ONE, data.draw(st.sampled_from(sorted(src.reachable([e]))))), None
+            dst._normalize = counted
+            got = dst.import_edge(src, e, shift=m, splice=splice, memo=memo)
+            del dst._normalize
+            seen |= src.reachable([e])
+            assert calls == len(seen)
+            assert got == dst.import_edge(src, e, shift=m, splice=splice)
+            if v is not None:
+                assert np.abs(dst.extract_statevector(got, n + m) - np.kron(v, vl)).max() < 1e-10
+
+
 def test_reachable_vector_and_matrix_spaces():
     rng = np.random.default_rng(19)
     pkg = Package()

@@ -1096,9 +1096,11 @@ def test_caller_walks_range_zero(monkeypatch, engine, summer):
 
 
 def test_amp_workers_write_rows_in_place():
-    # this process and a forked worker write their paths' rows into the
-    # summer's shared mapping, and the forked worker replies with none; a
-    # zero path's rows stay zero
+    # this process and a forked worker write their non-zero paths' rows
+    # into the summer's shared mapping, one after another from the start of
+    # their ranges, and the forked worker replies with only their number;
+    # the caller moves them down behind its own, so the product's rows are
+    # the non-zero paths' rows in path order
     import qcdd.hybrid as hybrid_mod
 
     c = generate_random_circuit(8, 4, seed=2, cz_density=0.6)
@@ -1115,25 +1117,48 @@ def test_amp_workers_write_rows_in_place():
     summer.total = recording
     vector, stats = hybrid_mod._run_paths(c, p, cls, 2, False, summer)
     assert stats["workers"] == 2
-    assert shipped == [None]
-    nonzero = 0
+    half = cls.path_count // 2
+    nonzero = []
     for i in range(cls.path_count):
         up, lo = Package(), Package()
         ue, le = simulate_path(c, p, path_digits(cls.decisions, i), up, lo, cls)
-        if ZERO_EDGE in (ue, le):
-            assert not summer.upper[i].any() and not summer.lower[i].any()
-        else:
-            nonzero += 1
-            assert np.abs(summer.upper[i] - up.extract_statevector(ue, 8 - p.cut)).max() < 1e-12
-            assert np.abs(summer.lower[i] - lo.extract_statevector(le, p.cut)).max() < 1e-12
-    assert 0 < nonzero < cls.path_count
+        if ZERO_EDGE not in (ue, le):
+            u, v = up.extract_statevector(ue, 8 - p.cut), lo.extract_statevector(le, p.cut)
+            nonzero.append((i, u, v))
+    assert 0 < len(nonzero) < cls.path_count
+    assert shipped == [sum(i >= half for i, _, _ in nonzero)]
+    assert summer.written == len(nonzero) == cls.path_count - stats["zero_paths"]
+    for row, (_, u, v) in enumerate(nonzero):
+        assert np.abs(summer.upper[row] - u).max() < 1e-12
+        assert np.abs(summer.lower[row] - v).max() < 1e-12
     assert np.abs(vector - dense_simulate(c)).max() < 1e-9
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3], ids=["workers-1", "workers-2", "workers-3"])
+def test_amp_product_skips_zero_paths(workers):
+    # the product reads one row pair per non-zero path, at every worker
+    # count, a forked range with no non-zero path included
+    import qcdd.hybrid as hybrid_mod
+
+    cases = [(ZERO_SUBTREES, 2), (generate_random_circuit(8, 4, seed=2, cz_density=0.6), 4)]
+    for c, cut in cases:
+        p = Partition(cut)
+        cls = classify(c, p)
+        summer = hybrid_mod._AmpSum(c.n, cut, cls.path_count, 1e-13, 30)
+        vector, stats = hybrid_mod._run_paths(c, p, cls, workers, False, summer)
+        assert stats["workers"] == workers
+        assert 0 < stats["zero_paths"] < cls.path_count
+        assert summer.written == cls.path_count - stats["zero_paths"]
+        assert np.abs(vector - dense_simulate(c)).max() < 1e-12
+
+
 def test_amp_total_allocates_only_the_output():
-    # 512 synthetic rows at n = 16 written into a summer's mapping: the
-    # product reads them in place, so forming the state allocates the
-    # output and no copy of the rows
+    # synthetic rows at n = 16 written into a summer's mapping as two
+    # workers of 512 paths write them: this process 200 rows from row 0,
+    # the forked worker 256 rows from row 256, its range's start; moving
+    # those down behind row 200 overlaps them, and the product reads the
+    # 456 rows in place, so forming the state allocates the output and no
+    # copy of the rows
     import tracemalloc
 
     import qcdd.hybrid as hybrid_mod
@@ -1143,14 +1168,17 @@ def test_amp_total_allocates_only_the_output():
     summer = hybrid_mod._AmpSum(n, cut, paths, 1e-13, 30)
     for rows in (summer.upper, summer.lower):
         rows[:] = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
-    want = (np.array(summer.upper).T @ np.array(summer.lower)).ravel()
+    kept = np.r_[0:200, 256:512]
+    want = (summer.upper[kept].T @ summer.lower[kept]).ravel()
+    summer.written = 200
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        state = summer.total([], dict.fromkeys(hybrid_mod._STAGES, 0.0))
+        state = summer.total([256], dict.fromkeys(hybrid_mod._STAGES, 0.0))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert summer.written == 456
     assert np.abs(state - want).max() < 1e-9
     assert peak < state.nbytes + (64 << 10)
 
@@ -1244,14 +1272,14 @@ def test_dd_imports_each_block_node_once(monkeypatch, workers):
     imports, splices = [], 0
     import_edge = Package.import_edge
 
-    def counted(pkg, src, e, shift=0, splice=None):
+    def counted(pkg, src, e, shift=0, splice=None, memo=None):
         nonlocal splices
         if splice is None:
             imports.append((src, e[1]))
         else:
             assert src is pkg  # the run's package splices into itself
             splices += 1
-        return import_edge(pkg, src, e, shift, splice)
+        return import_edge(pkg, src, e, shift, splice, memo)
 
     monkeypatch.setattr(Package, "import_edge", counted)
     res = run_hybrid_dd(c, p, workers=workers)
