@@ -51,8 +51,8 @@ one across workers; node ids mean nothing outside their package, so results
 are moved between packages with :meth:`Package.import_edge`, one memoized
 recursive copy.  A caller that moves many diagrams from one package keeps
 one memo for them, the source's node table owned by the destination, so a
-node is copied once, however many of the diagrams share it, until the
-source collects garbage.
+node is copied once, however many of the diagrams share it, until either
+package frees nodes.
 """
 
 from __future__ import annotations
@@ -510,9 +510,10 @@ class Package:
         calls: a node shared by several imported diagrams is copied once.
         Such a memo serves one ``(shift, splice)``, and it is the caller's
         to keep valid: it must be emptied when ``src`` collects garbage (a
-        node table of ``src`` is, see :meth:`node_table`), and its values
-        must be roots of every collection here.  Without one, each call
-        copies into a fresh dict.
+        node table of ``src`` is, see :meth:`node_table`), and either its
+        values are roots of every collection here, or the memo is emptied
+        when a collection here frees nodes.  Without one, each call copies
+        into a fresh dict.
         """
         if e[1]:
             src._vector_root(e[1])
@@ -672,10 +673,20 @@ class Package:
     def node_table(self, owner) -> dict:
         """``owner``'s dict for results keyed by, or holding, this package's
         node ids, kept while ``owner`` lives (the package holds it weakly).
-        Node ids are reused after a collection, so :meth:`gc` empties every
-        such dict in place: a dict held across a collection never answers
-        from a freed id, but a key taken before the collection must be
-        stored nowhere after it."""
+
+        Every node table roots nothing and is emptied by every collection
+        that could reuse an id it holds: :meth:`gc` empties each one in
+        place, so a dict held across a collection never answers from a
+        freed id (a key taken before it must be stored nowhere after it),
+        and an import memo, whose values hold the destination's ids, is
+        also emptied by its owner when the destination frees nodes.
+        :meth:`maybe_gc` counts none of them.  Their bounds: a walk record's
+        fold table (:class:`qcdd.hybrid._Walk`) holds one entry per
+        decision-tree prefix it folds, fewer than ``2 * (P + D)`` over ``P``
+        contiguous paths of ``D`` decisions, since each decision has two
+        terms or more; an amplitude summer's extraction table one per
+        non-zero path; an import memo at most this package's live nodes.
+        """
         table = self._node_tables.get(owner)
         if table is None:
             table = self._node_tables[owner] = {}

@@ -38,11 +38,12 @@ one shared mapping and forms the state as one matrix product of the
 written rows (``_AmpSum``); a block node is extracted once, and a later
 row on the same node is that row rescaled;
 ``run_hybrid_dd`` adds the paths as diagrams in the run's package
-(``_DDSum``): it copies each block node there once per run, through one
-import memo per block package, so the sub-nodes that the imported
-diagrams share are copied once too; it sums the lower diagrams of the
-paths that share an upper node, and splices each distinct upper node
-once, above its sum, which forms the tensor products by distributivity.
+(``_DDSum``): it copies each block node there through one import memo per
+block package, a plain cache that either package's collection empties, so
+the sub-nodes that the imported diagrams share are copied once too; it
+sums the lower diagrams of the paths whose upper nodes have one copy
+there, and splices each such copy once, above its sum, which forms the
+tensor products by distributivity.
 
 With ``W`` workers of ``P`` paths, worker ``w`` walks the contiguous path
 range ``[w * P // W, (w + 1) * P // W)``, so only a subtree cut by a range
@@ -58,7 +59,6 @@ fresh package, and the caller adds the partials to its own sum.
 from __future__ import annotations
 
 import functools
-import itertools
 import mmap
 import multiprocessing as mp
 import os
@@ -456,19 +456,23 @@ class _DDSum:
     node table owned by the run's package (:meth:`Package.node_table`),
     which maps each block node copied so far, sub-nodes included, to its
     copy there (see :meth:`Package.import_edge`).  So a block node is
-    copied once per run (per gc epoch of its package), however many
-    imported diagrams share it; a later path on a lower node rescales the
-    memo's edge without calling ``import_edge``.  The map from an upper
-    node to its group is the summer's node table in the upper package.
-    The block packages drop these tables at their next garbage collection.
+    copied once, however many imported diagrams share it, until either
+    package frees nodes; a later path on a node reads the memo's edge
+    without calling ``import_edge``.  The memos are plain caches: the block
+    package empties its memo at its own collection, and the summer empties
+    both when a collection of the run's package frees nodes, so no memo
+    edge is a gc root.
 
-    ``ship``/``total`` splice each group's upper node above its lower sum,
-    in creation order, and add the products by a binary counter, so the
-    addition tree has logarithmic depth in the number of groups.  The run's
-    package may collect garbage after each path and each splice, with the
-    counter's slots, the groups not yet spliced and, until splicing starts,
-    the memos' edges as roots; splicing empties the memos.  A forked worker
-    ships its partial sum copied into a fresh package, with its number of
+    The groups are one dict, in creation order, keyed by the id of the
+    upper node's copy in the run's package, and a path is added to its
+    group scaled by its copy's weight over the group's.  So an upper node
+    copied again after a collection of either package joins its group.
+    ``ship``/``total`` splice each group's upper node above its lower sum
+    and add the products by a binary counter, so the addition tree has
+    logarithmic depth in the number of groups.  The run's package may
+    collect garbage after each path and each splice, with the counter's
+    slots and the groups not yet spliced as roots.  A forked worker ships
+    its partial sum copied into a fresh package, with its number of
     splices; the calling process splices its own groups, imports the
     partials and adds them by the same counter."""
 
@@ -480,50 +484,39 @@ class _DDSum:
         self.amp_cap = amp_cap
         self.pkg = Package(tol, extract_cap=amp_cap)
         self.slots: list[Edge | None] = []
-        # [upper edge, lower sum] per group, in creation order
-        self.groups: list[list[Edge]] = []
-        # each block package's import memo (its node table owned by pkg)
-        self.memos: tuple[dict[int, Edge], ...] = ()
+        # upper copy's node id -> [upper copy, lower sum], in creation order
+        self.groups: dict[int, list[Edge]] = {}
         self.splices = 0
 
     def add_path(self, row: int, up: Package, ue: Edge, lo: Package, le: Edge, times: dict):
         t0 = time.perf_counter()
         pkg = self.pkg
-        self.memos = up_memo, lo_memo = up.node_table(pkg), lo.node_table(pkg)
-        lower = lo_memo.get(le[1])
-        if lower is None:
-            # the memo's raw-weight edge, the one every later path reads
-            pkg.import_edge(lo, (ONE, le[1]), memo=lo_memo)
-            lower = lo_memo[le[1]]
-        groups = up.node_table(self)
-        group = groups.get(ue[1])
-        if group is None:
-            upper = pkg.import_edge(up, (ONE, ue[1]), memo=up_memo)
-            group = groups[ue[1]] = [upper, ZERO_EDGE]
-            self.groups.append(group)
+        lo_memo, up_memo = lo.node_table(pkg), up.node_table(pkg)
+        for src, memo, t in ((lo, lo_memo, le[1]), (up, up_memo, ue[1])):
+            if t not in memo:
+                # the memo's raw-weight edge, the one every later path reads
+                pkg.import_edge(src, (ONE, t), memo=memo)
+        lower, upper = lo_memo[le[1]], up_memo[ue[1]]
+        group = self.groups.setdefault(upper[1], [upper, ZERO_EDGE])
         t1 = time.perf_counter()
-        group[1] = pkg.add(group[1], (ue[0] * le[0] * lower[0], lower[1]))
+        w = ue[0] * le[0] * lower[0] * upper[0] / group[0][0]
+        group[1] = pkg.add(group[1], (w, lower[1]))
         times["kron"] += t1 - t0
         times["add"] += time.perf_counter() - t1
-        pkg.maybe_gc(self._roots(self.groups, *(m.values() for m in self.memos)))
+        if pkg.maybe_gc(self._roots(self.groups.values())):
+            lo_memo.clear()
+            up_memo.clear()
 
-    def _roots(self, groups, *imported) -> Iterator[Edge]:
-        """The run package's gc roots: the counter's slots, the edges of
-        ``groups`` and the edges of each of the ``imported`` iterables."""
+    def _roots(self, groups) -> Iterator[Edge]:
+        """The run package's gc roots: the counter's slots and the edges of
+        ``groups``."""
         yield from (s for s in self.slots if s is not None)
         for group in groups:
             yield from group
-        for edges in imported:
-            yield from edges
 
     def _splice(self, times: dict):
-        """Splice every group and add the products by the counter.  The
-        import memos are emptied first: their edges are no gc roots from
-        here on."""
-        for memo in self.memos:
-            memo.clear()
-        self.memos = ()
-        pkg, groups = self.pkg, self.groups
+        """Splice every group and add the products by the counter."""
+        pkg, groups = self.pkg, list(self.groups.values())
         for i, (upper, lower) in enumerate(groups):
             t0 = time.perf_counter()
             contrib = pkg.import_edge(pkg, upper, shift=self.cut, splice=lower)
@@ -531,9 +524,9 @@ class _DDSum:
             self._push(contrib)
             times["kron"] += t1 - t0
             times["add"] += time.perf_counter() - t1
-            pkg.maybe_gc(self._roots(itertools.islice(groups, i + 1, None)))
+            pkg.maybe_gc(self._roots(groups[i + 1 :]))
         self.splices += len(groups)
-        self.groups = []
+        self.groups = {}
 
     def _push(self, contrib: Edge):
         slots = self.slots

@@ -13,9 +13,10 @@ intermediate values raw (any Python ``complex``) and looks a value up only
 when a node stores it, when it keys a compute table, or when an edge is
 handed back to a caller (see :mod:`qcdd.dd`).  The arithmetic below
 (:meth:`ComplexTable.add`, :meth:`~ComplexTable.mul`,
-:meth:`~ComplexTable.div`) looks up every result and serves the tests.  The
-diagram algebra calls none of it: its operands are raw, and a shortcut
-such as ``div(a, ONE)`` returning ``a`` would store a raw value.
+:meth:`~ComplexTable.div`) is one lookup of the plain result each, so it
+is closed over representatives.  The diagram algebra calls none of it;
+the three stay because ``benchmark/tracer.py`` wraps them by name, as it
+does :meth:`qcdd.dd.Package.make_vector_node`.
 
 A table is single-writer; concurrent simulations each own a private table
 and re-canonicalize weights when results are combined (see
@@ -108,32 +109,13 @@ class ComplexTable:
         self._exact[z] = rep
         return rep
 
-    # Field arithmetic on representatives.  Results are re-canonicalized, so
-    # closure under these operations is automatic.
-
     def add(self, a: complex, b: complex) -> complex:
-        if a == ZERO:
-            return b
-        if b == ZERO:
-            return a
         return self.lookup(a + b)
 
     def mul(self, a: complex, b: complex) -> complex:
-        if a == ZERO or b == ZERO:
-            return ZERO
-        if a == ONE:
-            return b
-        if b == ONE:
-            return a
         return self.lookup(a * b)
 
     def div(self, a: complex, b: complex) -> complex:
-        if b == ZERO:
-            raise ZeroDivisionError("division by the canonical zero weight")
-        if a == ZERO:
-            return ZERO
-        if b == ONE:
-            return a
         return self.lookup(a / b)
 
     def cached(self) -> int:

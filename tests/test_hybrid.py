@@ -1301,10 +1301,11 @@ def test_dd_imports_each_block_node_once(monkeypatch, workers):
 def test_dd_groups_survive_gc(monkeypatch, block_gc_limit):
     # block packages that collect garbage within and between paths reuse
     # node ids, so an upper node id may come back on another node after
-    # its group was opened; the run's package collects after every path
-    # and every splice, with the groups and the imported edges as roots,
-    # which must keep an imported edge valid while its block package,
-    # collecting nothing at the default limit, still maps a node to it
+    # its group was opened, and an upper node that comes back after a
+    # collection is copied again; the run's package collects after every
+    # path and every splice, with only the groups and the counter's slots
+    # as roots, so it must empty the import memos when it frees nodes,
+    # and the copy that comes back must join its group, not open another
     import qcdd.hybrid as hybrid_mod
 
     cases = [(REPEATS, 2), (ZERO_SUBTREES, 2)] + [
@@ -1325,8 +1326,12 @@ def test_dd_groups_survive_gc(monkeypatch, block_gc_limit):
         monkeypatch.setattr(hybrid_mod, "Package", block_package)
         hybrid_mod._sum_paths(c, p, cls, 0, 1, False, summer)
         monkeypatch.undo()
+        # no memo edge outlives the collection after the last path
+        roots = summer._roots(summer.groups.values())
+        assert summer.pkg.live_nodes() == len(summer.pkg.reachable(roots))
         state = summer.total([], dict.fromkeys(hybrid_mod._STAGES, 0.0))
         assert summer.pkg.gc_runs
+        assert summer.splices == plain.stats["splices"]
         assert all(b.gc_runs for b in blocks) == (block_gc_limit < Package().gc_limit)
         got = summer.pkg.extract_statevector(state, c.n)
         assert np.abs(got - dense_simulate(c)).max() < 1e-12
